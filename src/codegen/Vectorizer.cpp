@@ -79,10 +79,13 @@ unsigned resolveWidth(const Kernel &K, const Schedule &S,
 } // namespace
 
 unsigned pinj::finalizeVectorMarks(const Kernel &K, Schedule &S,
-                                   bool DisableVectorization) {
+                                   bool DisableVectorization,
+                                   const DependenceMemo *Memo) {
   failpoint::hit("codegen.vectorize");
   unsigned Surviving = 0;
-  std::vector<DependenceRelation> Deps = computeDependences(K);
+  std::vector<DependenceRelation> OwnDeps;
+  const std::vector<DependenceRelation> &Deps =
+      dependencesOf(K, DependenceOptions(), Memo, OwnDeps);
   for (unsigned D = 0, ND = S.numDims(); D != ND; ++D) {
     DimInfo &Info = S.Dims[D];
     if (Info.VectorStmts.empty() && Info.VectorWidth == 0)

@@ -29,9 +29,11 @@ namespace pinj {
 /// Rechecks and finalizes the vector marks of \p S against the scheduled
 /// kernel \p K. \returns the number of dimensions left vector-marked.
 /// With \p DisableVectorization the marks are simply cleared (the
-/// paper's "novec" configuration).
+/// paper's "novec" configuration). \p Deps, when given, supplies the
+/// kernel's dependences instead of a fresh analysis.
 unsigned finalizeVectorMarks(const Kernel &K, Schedule &S,
-                             bool DisableVectorization = false);
+                             bool DisableVectorization = false,
+                             const DependenceMemo *Deps = nullptr);
 
 } // namespace pinj
 

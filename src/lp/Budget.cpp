@@ -15,6 +15,7 @@ struct pinj::budget::BudgetState {
   BudgetState *Parent = nullptr;
   std::uint64_t PivotsLeft = 0; // meaningful only when HasPivots
   std::uint64_t NodesLeft = 0;  // meaningful only when HasNodes
+  SolverWork Charged;           // charges that reached this scope
   Clock::time_point Deadline;   // meaningful only when HasDeadline
   bool HasPivots = false;
   bool HasNodes = false;
@@ -68,14 +69,47 @@ BudgetScope::~BudgetScope() {
 
 bool BudgetScope::tripped() const { return S && S->Tripped; }
 
+WorkMeter::WorkMeter(ModeTy Mode) : S(new BudgetState()), Saved(Top) {
+  S->Parent = Mode == Nested ? Top : nullptr;
+  Top = S;
+}
+
+WorkMeter::~WorkMeter() {
+  Top = Saved;
+  delete S;
+}
+
+SolverWork WorkMeter::work() const { return S->Charged; }
+
+bool pinj::budget::chargeWork(const SolverWork &W) {
+  if (deadlineExpired())
+    return false;
+  for (BudgetState *S = Top; S; S = S->Parent)
+    if (S->Tripped || (S->HasPivots && S->PivotsLeft < W.Pivots) ||
+        (S->HasNodes && S->NodesLeft < W.IlpNodes))
+      return false;
+  for (BudgetState *S = Top; S; S = S->Parent) {
+    S->Charged.Pivots += W.Pivots;
+    S->Charged.IlpNodes += W.IlpNodes;
+    if (S->HasPivots)
+      S->PivotsLeft -= W.Pivots;
+    if (S->HasNodes)
+      S->NodesLeft -= W.IlpNodes;
+  }
+  return true;
+}
+
 bool pinj::budget::active() { return Top != nullptr; }
 
 bool pinj::budget::chargePivot() {
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
-    if (S->Tripped)
+    if (S->Tripped) {
       Ok = false;
-    else if (S->HasPivots && S->PivotsLeft-- == 0)
+      continue;
+    }
+    ++S->Charged.Pivots;
+    if (S->HasPivots && S->PivotsLeft-- == 0)
       Ok = S->trip();
   }
   return Ok;
@@ -84,9 +118,12 @@ bool pinj::budget::chargePivot() {
 bool pinj::budget::chargeNode() {
   bool Ok = true;
   for (BudgetState *S = Top; S; S = S->Parent) {
-    if (S->Tripped)
+    if (S->Tripped) {
       Ok = false;
-    else if (S->HasNodes && S->NodesLeft-- == 0)
+      continue;
+    }
+    ++S->Charged.IlpNodes;
+    if (S->HasNodes && S->NodesLeft-- == 0)
       Ok = S->trip();
   }
   return Ok;

@@ -39,6 +39,12 @@ struct SolverBudget {
   }
 };
 
+/// Solver work in the units budgets charge.
+struct SolverWork {
+  std::uint64_t Pivots = 0;
+  std::uint64_t IlpNodes = 0;
+};
+
 namespace budget {
 
 struct BudgetState;
@@ -59,6 +65,35 @@ public:
 private:
   BudgetState *S = nullptr;
 };
+
+/// Measures the solver work charged on this thread while it lives, and
+/// never trips. A Nested meter passes every charge on to the enclosing
+/// scopes; a Detached meter hides them, so the work inside neither
+/// charges nor trips any of them. Memoizing callers compute a result
+/// under a meter and replay its work() with chargeWork() wherever they
+/// serve the result instead of recomputing it.
+class WorkMeter {
+public:
+  enum ModeTy { Nested, Detached };
+  explicit WorkMeter(ModeTy Mode);
+  ~WorkMeter();
+
+  WorkMeter(const WorkMeter &) = delete;
+  WorkMeter &operator=(const WorkMeter &) = delete;
+
+  SolverWork work() const;
+
+private:
+  BudgetState *S = nullptr;
+  BudgetState *Saved = nullptr;
+};
+
+/// Charges \p W to every active scope at once, exactly as redoing that
+/// work here would — provided no scope has tripped or hit its deadline
+/// and each can absorb all of \p W. Otherwise charges nothing and
+/// \returns false: the caller must then redo the work itself, so every
+/// budget trips exactly where the work trips it.
+bool chargeWork(const SolverWork &W);
 
 /// Charges one simplex pivot to every active scope. \returns false when
 /// a limit is exhausted (the caller should stop and report

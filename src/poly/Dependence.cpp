@@ -4,6 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Status.h"
 
 using namespace pinj;
 
@@ -186,6 +187,36 @@ pinj::computeDependences(const Kernel &K, const DependenceOptions &Options) {
         .arg("pairs", Pairs)
         .arg("relations", Result.size());
   return Result;
+}
+
+const std::vector<DependenceRelation> *
+DependenceMemo::get(const DependenceOptions &Options) const {
+  static_assert(sizeof(DependenceOptions) == sizeof(bool),
+                "DependenceMemo keys on IncludeInput alone");
+  Entry &E = Entries[Options.IncludeInput ? 1 : 0];
+  std::call_once(E.Once, [&] {
+    budget::WorkMeter Meter(budget::WorkMeter::Detached);
+    try {
+      E.Relations = computeDependences(K, Options);
+      E.Ok = true;
+    } catch (const RecoverableError &) {
+    }
+    E.Work = Meter.work();
+  });
+  if (!E.Ok || !budget::chargeWork(E.Work))
+    return nullptr;
+  return &E.Relations;
+}
+
+const std::vector<DependenceRelation> &
+pinj::dependencesOf(const Kernel &K, const DependenceOptions &Options,
+                    const DependenceMemo *Memo,
+                    std::vector<DependenceRelation> &Storage) {
+  if (Memo)
+    if (const std::vector<DependenceRelation> *Shared = Memo->get(Options))
+      return *Shared;
+  Storage = computeDependences(K, Options);
+  return Storage;
 }
 
 std::string pinj::printDependence(const Kernel &K,

@@ -19,7 +19,10 @@
 #define POLYINJECT_POLY_DEPENDENCE_H
 
 #include "ir/Kernel.h"
+#include "lp/Budget.h"
 #include "poly/Set.h"
+
+#include <mutex>
 
 namespace pinj {
 
@@ -60,6 +63,46 @@ struct DependenceOptions {
 std::vector<DependenceRelation>
 computeDependences(const Kernel &K,
                    const DependenceOptions &Options = DependenceOptions());
+
+/// The relations of one kernel, computed at most once per
+/// DependenceOptions and shared by every consumer that would otherwise
+/// recompute them (the autotuner schedules dozens of candidates of one
+/// kernel). Each computation runs detached from the caller's solver
+/// budgets, so no tripped budget can leave a truncated set behind, and
+/// records the work it took; every consumer charges that work to its
+/// own budgets, which therefore trip exactly where a fresh computation
+/// would trip them. Thread-safe; \p K must outlive the memo.
+class DependenceMemo {
+public:
+  explicit DependenceMemo(const Kernel &K) : K(K) {}
+
+  /// \p K's relations under \p Options, their work charged to the
+  /// active budgets; null when those budgets cannot absorb it or the
+  /// computation failed — the caller then computes the relations
+  /// itself, failing or tripping wherever a fresh computation does.
+  const std::vector<DependenceRelation> *
+  get(const DependenceOptions &Options) const;
+
+private:
+  struct Entry {
+    std::once_flag Once;
+    bool Ok = false;
+    std::vector<DependenceRelation> Relations;
+    SolverWork Work;
+  };
+
+  const Kernel &K;
+  /// One entry per DependenceOptions value, indexed by IncludeInput.
+  mutable Entry Entries[2];
+};
+
+/// \p K's relations under \p Options: \p Memo's copy when it has one for
+/// the active budgets (see DependenceMemo::get), else computed afresh
+/// into \p Storage. A null \p Memo always computes.
+const std::vector<DependenceRelation> &
+dependencesOf(const Kernel &K, const DependenceOptions &Options,
+              const DependenceMemo *Memo,
+              std::vector<DependenceRelation> &Storage);
 
 /// Renders a short human-readable summary ("X -> Y flow on B").
 std::string printDependence(const Kernel &K, const DependenceRelation &D);

@@ -105,6 +105,14 @@ public:
 
   std::string str(const Kernel &K) const;
 
+  /// A canonical encoding of everything the scheduler reads from the
+  /// tree: per node, in depth-first child order, its depth, label,
+  /// constraints (terms, constant, relation), objectives, parallel
+  /// meta-requirement and vector statements and width. Scheduling under
+  /// two trees with equal keys is identical, so the key can stand for
+  /// the tree in a memo.
+  std::string key() const;
+
 private:
   InfluenceNode Root;
 };

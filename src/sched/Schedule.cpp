@@ -63,8 +63,11 @@ bool Schedule::stronglySatisfiedAt(const Kernel &K,
   return D.Rel.isAlwaysAtLeast(differenceExpr(K, D, Dim), 1);
 }
 
-void pinj::annotateParallelism(const Kernel &K, Schedule &S) {
-  std::vector<DependenceRelation> Deps = computeDependences(K);
+void pinj::annotateParallelism(const Kernel &K, Schedule &S,
+                               const DependenceMemo *Memo) {
+  std::vector<DependenceRelation> OwnDeps;
+  const std::vector<DependenceRelation> &Deps =
+      dependencesOf(K, DependenceOptions(), Memo, OwnDeps);
   std::vector<bool> Carried(Deps.size(), false);
   for (unsigned D = 0, ND = S.numDims(); D != ND; ++D) {
     bool Parallel = true, ThreadParallel = true;
@@ -86,7 +89,7 @@ void pinj::annotateParallelism(const Kernel &K, Schedule &S) {
   }
 }
 
-Schedule pinj::originalSchedule(const Kernel &K) {
+Schedule pinj::originalSchedule(const Kernel &K, const DependenceMemo *Deps) {
   unsigned MaxDepth = 0;
   for (const Statement &S : K.Stmts)
     MaxDepth = std::max(MaxDepth, S.numIters());
@@ -124,7 +127,7 @@ Schedule pinj::originalSchedule(const Kernel &K) {
   // as best-effort: without it every dimension stays sequential, which
   // is slower but always correct.
   try {
-    annotateParallelism(K, Sched);
+    annotateParallelism(K, Sched, Deps);
   } catch (const RecoverableError &) {
   }
   return Sched;

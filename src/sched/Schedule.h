@@ -118,15 +118,18 @@ std::optional<Schedule> deserializeSchedule(const std::string &Text,
 /// Recomputes DimInfo::IsParallel for a schedule built outside the
 /// scheduler (e.g. the TVM-proxy manual schedules): a dimension is
 /// parallel when every validity relation not already carried by an
-/// earlier dimension has a zero schedule difference on it.
-void annotateParallelism(const Kernel &K, Schedule &S);
+/// earlier dimension has a zero schedule difference on it. \p Deps,
+/// when given, supplies the dependences instead of a fresh analysis.
+void annotateParallelism(const Kernel &K, Schedule &S,
+                         const DependenceMemo *Deps = nullptr);
 
 /// The schedule encoding the original program order (the classic 2d+1
 /// form built from each statement's OrigBeta interleaving vector). It is
 /// valid by construction — dependences are computed from this very
 /// order — so it serves as the last-resort fallback when scheduling
 /// fails in a recoverable way.
-Schedule originalSchedule(const Kernel &K);
+Schedule originalSchedule(const Kernel &K,
+                          const DependenceMemo *Deps = nullptr);
 
 } // namespace pinj
 

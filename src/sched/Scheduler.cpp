@@ -119,16 +119,21 @@ private:
   int SccCount = 0;
 };
 
+DependenceOptions dependenceOptionsFor(const SchedulerOptions &Options) {
+  DependenceOptions DepOptions;
+  DepOptions.IncludeInput = Options.ProximityIncludesInput;
+  return DepOptions;
+}
+
 /// One full scheduling construction (Algorithm 1). A fresh instance is
 /// used for the no-influence rerun when a tree is abandoned.
 class Construction {
 public:
   Construction(const Kernel &K, const SchedulerOptions &Options,
-               const InfluenceTree *Tree)
-      : K(K), Options(Options), Tree(Tree) {
-    DependenceOptions DepOptions;
-    DepOptions.IncludeInput = Options.ProximityIncludesInput;
-    AllDeps = computeDependences(K, DepOptions);
+               const InfluenceTree *Tree, const DependenceMemo *Deps)
+      : K(K), Options(Options), Tree(Tree),
+        AllDeps(dependencesOf(K, dependenceOptionsFor(Options), Deps,
+                              OwnDeps)) {
     for (unsigned I = 0, E = AllDeps.size(); I != E; ++I)
       if (AllDeps[I].constrainsValidity())
         Active.push_back(I);
@@ -583,7 +588,9 @@ private:
   const SchedulerOptions &Options;
   const InfluenceTree *Tree;
 
-  std::vector<DependenceRelation> AllDeps;
+  /// AllDeps refers here unless a DependenceMemo supplied them.
+  std::vector<DependenceRelation> OwnDeps;
+  const std::vector<DependenceRelation> &AllDeps;
   std::vector<unsigned> Active; ///< Indices of live validity relations.
   std::vector<std::optional<unsigned>> Carried;
   Schedule Partial;
@@ -603,7 +610,8 @@ private:
 
 SchedulerResult pinj::scheduleKernel(const Kernel &K,
                                      const SchedulerOptions &Options,
-                                     const InfluenceTree *Tree) {
+                                     const InfluenceTree *Tree,
+                                     const DependenceMemo *Deps) {
   obs::Span S("sched.schedule");
   if (S.active())
     S.arg("kernel", K.Name).arg("influenced", Tree != nullptr);
@@ -615,7 +623,7 @@ SchedulerResult pinj::scheduleKernel(const Kernel &K,
   try {
     failpoint::hit("sched.schedule");
     {
-      Construction C(K, Options, Tree);
+      Construction C(K, Options, Tree, Deps);
       SchedulerResult Result;
       if (C.run(Result))
         return Result;
@@ -627,7 +635,7 @@ SchedulerResult pinj::scheduleKernel(const Kernel &K,
     // solver budget or overflow; those raise and are handled below.
     SchedulerOptions Plain = Options;
     Plain.SerializeSccs = true;
-    Construction C(K, Plain, nullptr);
+    Construction C(K, Plain, nullptr, Deps);
     SchedulerResult Result;
     if (!C.run(Result))
       raiseError(StatusCode::Stuck, "sched.plain",
@@ -637,7 +645,7 @@ SchedulerResult pinj::scheduleKernel(const Kernel &K,
   } catch (const RecoverableError &E) {
     obs::metrics().counter("sched.status_errors").inc();
     SchedulerResult Result;
-    Result.Sched = originalSchedule(K);
+    Result.Sched = originalSchedule(K, Deps);
     Result.Outcome = E.status();
     // A construction starved by its budget surfaces as "stuck" or as a
     // runaway dimension count (every ILP fails fast once any enclosing

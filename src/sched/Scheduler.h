@@ -65,10 +65,14 @@ struct SchedulerResult {
 
 /// Runs the influenced scheduling construction on \p K. \p Tree may be
 /// null (plain polyhedral scheduling, the paper's "isl" reference
-/// configuration when Options.SerializeSccs is set).
+/// configuration when Options.SerializeSccs is set). \p Deps, when
+/// given, supplies the dependences to every construction of the run
+/// (and to the original-order fallback) instead of a fresh analysis;
+/// the result is the same either way.
 SchedulerResult scheduleKernel(const Kernel &K,
                                const SchedulerOptions &Options,
-                               const InfluenceTree *Tree = nullptr);
+                               const InfluenceTree *Tree = nullptr,
+                               const DependenceMemo *Deps = nullptr);
 
 } // namespace pinj
 

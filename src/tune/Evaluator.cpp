@@ -10,61 +10,140 @@
 #include "target/Target.h"
 
 #include <atomic>
+#include <cstring>
+#include <mutex>
 #include <thread>
+#include <unordered_map>
 
 using namespace pinj;
 using namespace pinj::tune;
 
-bool tune::buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
-                                 MappedKernel &Out) {
-  try {
-    // Mirror runOperator's operator-wide budget; anyTripped() below then
-    // sees both this scope and any caller-installed candidate scope.
-    budget::BudgetScope OpBudget(O.Budget);
+namespace {
 
-    Schedule InflSched;
-    bool Fallback = false;
-    try {
-      SchedulerResult InflRun = scheduleInfluenced(K, O);
-      if (!InflRun.Outcome.ok())
+// A new SchedulerOptions or GpuMappingOptions field must join the
+// schedule or score key; these mirrors stop compiling until it does.
+struct SchedulerOptionsMirror {
+  Int CoeffBound;
+  Int ConstBound;
+  bool ProximityIncludesInput;
+  bool SerializeSccs;
+  bool PreferOriginalOrder;
+  bool UseFeautrierFallback;
+  unsigned MaxDims;
+  SolverBudget Budget;
+};
+static_assert(sizeof(SchedulerOptionsMirror) == sizeof(SchedulerOptions),
+              "new SchedulerOptions field: add it to scheduleStageKey");
+static_assert(sizeof(GpuMappingOptions) == sizeof(Int),
+              "new GpuMappingOptions field: add it to the score key");
+
+/// The tree \p Influence builds; \p Built is false when building it
+/// fails (the schedule stage then takes the isl fallback, as runOperator
+/// does). Returned as a prvalue so the tree is built in place: nodes
+/// point at their parents, so a tree must never be moved.
+InfluenceTree buildTree(const Kernel &K, const InfluenceOptions &Influence,
+                        bool &Built) {
+  Built = true;
+  try {
+    return buildInfluenceTree(K, Influence);
+  } catch (const RecoverableError &) {
+    Built = false;
+    return InfluenceTree();
+  }
+}
+
+/// The schedule stage: influenced scheduling under \p Tree (null: none),
+/// the serialized-SCC isl fallback when that fails or is not
+/// simulatable, then vector finalization — runOperator's infl decisions.
+/// \returns false when no simulatable schedule results.
+bool scheduleStage(const Kernel &K, const InfluenceTree *Tree,
+                   const SchedulerOptions &Sched, const DependenceMemo *Deps,
+                   Schedule &Out) {
+  try {
+    bool Fallback = Tree == nullptr;
+    if (!Fallback) {
+      SchedulerOptions InflOptions = Sched;
+      InflOptions.SerializeSccs = false; // Let fusion constraints act.
+      try {
+        SchedulerResult InflRun = scheduleKernel(K, InflOptions, Tree, Deps);
+        Fallback = !InflRun.Outcome.ok();
+        Out = std::move(InflRun.Sched);
+      } catch (const RecoverableError &) {
         Fallback = true;
-      else
-        InflSched = InflRun.Sched;
-    } catch (const RecoverableError &) {
-      Fallback = true;
+      }
     }
-    if (!Fallback && !isSimulatableSchedule(K, InflSched))
+    if (!Fallback && !isSimulatableSchedule(K, Out))
       Fallback = true; // Fusion the backend rejects; runOperator falls
                        // back to the reference schedule.
     if (Fallback) {
-      SchedulerOptions IslOptions = O.Sched;
+      SchedulerOptions IslOptions = Sched;
       IslOptions.SerializeSccs = true;
-      SchedulerResult IslRun = scheduleKernel(K, IslOptions);
-      if (!IslRun.Outcome.ok())
+      SchedulerResult IslRun = scheduleKernel(K, IslOptions, nullptr, Deps);
+      if (!IslRun.Outcome.ok() || !isSimulatableSchedule(K, IslRun.Sched))
         return false;
-      InflSched = IslRun.Sched;
-      if (!isSimulatableSchedule(K, InflSched))
-        return false;
+      Out = std::move(IslRun.Sched);
     }
+    finalizeVectorMarks(K, Out, /*DisableVectorization=*/false, Deps);
+    return isSimulatableSchedule(K, Out);
+  } catch (const RecoverableError &) {
+    return false;
+  }
+}
 
-    try {
-      finalizeVectorMarks(K, InflSched, /*DisableVectorization=*/false);
-    } catch (const RecoverableError &) {
-      return false;
-    }
-    if (!isSimulatableSchedule(K, InflSched))
-      return false;
-
-    // A budget shaped this run; the un-tripped pipeline would produce a
-    // different schedule, so the score would be for the wrong config.
-    if (budget::anyTripped())
-      return false;
-
-    Out = mapToGpu(K, InflSched, O.Mapping);
+/// The score stage's front half. \returns false when mapping fails or
+/// any budget tripped on the way here: the un-tripped pipeline would
+/// produce a different schedule, so the score would be for the wrong
+/// config.
+bool mapStage(const Kernel &K, const Schedule &S,
+              const GpuMappingOptions &Mapping, MappedKernel &Out) {
+  if (budget::anyTripped())
+    return false;
+  try {
+    Out = mapToGpu(K, S, Mapping);
     return true;
   } catch (const RecoverableError &) {
     return false;
   }
+}
+
+void appendU64(std::string &Out, std::uint64_t V) {
+  for (unsigned I = 0; I != 8; ++I)
+    Out += static_cast<char>((V >> (8 * I)) & 0xff);
+}
+
+} // namespace
+
+std::string tune::scheduleStageKey(const InfluenceTree *Tree,
+                                   const SchedulerOptions &Sched) {
+  // SerializeSccs is left out: the stage sets it for each run itself.
+  std::string Key;
+  appendU64(Key, static_cast<std::uint64_t>(Sched.CoeffBound));
+  appendU64(Key, static_cast<std::uint64_t>(Sched.ConstBound));
+  appendU64(Key, Sched.ProximityIncludesInput);
+  appendU64(Key, Sched.PreferOriginalOrder);
+  appendU64(Key, Sched.UseFeautrierFallback);
+  appendU64(Key, Sched.MaxDims);
+  appendU64(Key, Sched.Budget.MaxPivots);
+  appendU64(Key, Sched.Budget.MaxIlpNodes);
+  std::uint64_t WallBits;
+  std::memcpy(&WallBits, &Sched.Budget.WallMs, sizeof(WallBits));
+  appendU64(Key, WallBits);
+  Key += Tree ? 'T' : '-';
+  if (Tree)
+    Key += Tree->key();
+  return Key;
+}
+
+bool tune::buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
+                                 MappedKernel &Out) {
+  // Mirror runOperator's operator-wide budget; mapStage's anyTripped()
+  // then sees both this scope and any caller-installed candidate scope.
+  budget::BudgetScope OpBudget(O.Budget);
+  bool Built = false;
+  InfluenceTree Tree = buildTree(K, O.Influence, Built);
+  Schedule S;
+  return scheduleStage(K, Built ? &Tree : nullptr, O.Sched, nullptr, S) &&
+         mapStage(K, S, O.Mapping, Out);
 }
 
 double tune::predictInflTimeUs(const Kernel &K, const PipelineOptions &O) {
@@ -74,9 +153,63 @@ double tune::predictInflTimeUs(const Kernel &K, const PipelineOptions &O) {
   return target::simulateForOptions(M, O).TimeUs;
 }
 
+/// The stage memo of one search. Published schedule entries never
+/// change and unordered_map never moves its nodes, so entry pointers
+/// stay valid without the lock. Scores key on the schedule entry plus
+/// the mapping options; the target is the evaluator's base target for
+/// every candidate.
+class Evaluator::StageMemo {
+public:
+  struct ScheduleEntry {
+    bool Ok = false; ///< False: no simulatable schedule.
+    Schedule Sched;
+    SolverWork Work; ///< What computing the entry charged the budgets.
+  };
+
+  explicit StageMemo(const Kernel &K) : Deps(K) {}
+
+  const ScheduleEntry *findSchedule(const std::string &Key) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Schedules.find(Key);
+    return It == Schedules.end() ? nullptr : &It->second;
+  }
+
+  /// Publishes \p E under \p Key; a concurrent identical computation
+  /// may have won the race, and its equal entry is returned instead.
+  const ScheduleEntry *storeSchedule(const std::string &Key,
+                                     ScheduleEntry E) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return &Schedules.try_emplace(Key, std::move(E)).first->second;
+  }
+
+  bool findScore(const ScheduleEntry *E, const GpuMappingOptions &Mapping,
+                 double &Out) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    auto It = Scores.find({E, Mapping.MaxThreadsPerBlock});
+    if (It == Scores.end())
+      return false;
+    Out = It->second;
+    return true;
+  }
+
+  void storeScore(const ScheduleEntry *E, const GpuMappingOptions &Mapping,
+                  double Score) {
+    std::lock_guard<std::mutex> Lock(Mu);
+    Scores.emplace(std::make_pair(E, Mapping.MaxThreadsPerBlock), Score);
+  }
+
+  const DependenceMemo Deps;
+
+private:
+  std::mutex Mu;
+  std::unordered_map<std::string, ScheduleEntry> Schedules;
+  std::map<std::pair<const ScheduleEntry *, Int>, double> Scores;
+};
+
 Evaluator::Evaluator(const Kernel &K, const PipelineOptions &Base,
                      const SearchSpace &Space, Config Cfg)
-    : K(K), Base(Base), Space(Space), Cfg(Cfg) {
+    : K(K), Base(Base), Space(Space), Cfg(Cfg),
+      Stages(std::make_unique<StageMemo>(K)) {
   // The evaluator owns its copies of the hooks' absence: candidates are
   // scored outside the pipeline, so downstream hooks must not fire.
   this->Base.Sink = nullptr;
@@ -86,17 +219,76 @@ Evaluator::Evaluator(const Kernel &K, const PipelineOptions &Base,
     this->Cfg.Jobs = 1;
 }
 
+Evaluator::~Evaluator() = default;
+
+double Evaluator::score(const PipelineOptions &O) const {
+  static obs::Counter &ScheduleHits =
+      obs::metrics().counter("tune.stage_schedule_hits");
+  static obs::Counter &ScoreHits =
+      obs::metrics().counter("tune.stage_score_hits");
+
+  budget::BudgetScope Isolation(Cfg.CandidateBudget);
+  // A scheduler deadline trips inside scheduleKernel without a trace, so
+  // what such a run produces is not a function of the stage key.
+  if (O.Sched.Budget.WallMs > 0)
+    return predictInflTimeUs(K, O);
+  budget::BudgetScope OpBudget(O.Budget);
+  bool Built = false;
+  InfluenceTree Tree = buildTree(K, O.Influence, Built);
+  const InfluenceTree *T = Built ? &Tree : nullptr;
+  std::string Key = scheduleStageKey(T, O.Sched);
+
+  // Serve a stored schedule only where recomputing it would give the
+  // same answer: under a tripped or expired budget recomputation fails,
+  // and a budget that cannot absorb the entry's work would trip inside
+  // it, so that case recomputes.
+  const StageMemo::ScheduleEntry *Entry = Stages->findSchedule(Key);
+  if (Entry) {
+    budget::deadlineExpired();
+    if (budget::anyTripped())
+      return failedScore();
+    if (budget::chargeWork(Entry->Work))
+      ScheduleHits.inc();
+    else
+      Entry = nullptr;
+  }
+  if (!Entry) {
+    StageMemo::ScheduleEntry E;
+    {
+      budget::WorkMeter Meter(budget::WorkMeter::Nested);
+      E.Ok = scheduleStage(K, T, O.Sched, &Stages->Deps, E.Sched);
+      E.Work = Meter.work();
+    }
+    // Never store what a tripped budget shaped; it scores as a failure.
+    if (budget::anyTripped())
+      return failedScore();
+    Entry = Stages->storeSchedule(Key, std::move(E));
+  }
+  if (!Entry->Ok)
+    return failedScore();
+
+  double Score = failedScore();
+  if (Stages->findScore(Entry, O.Mapping, Score)) {
+    ScoreHits.inc();
+    return Score;
+  }
+  MappedKernel M;
+  Score = mapStage(K, Entry->Sched, O.Mapping, M)
+              ? target::simulateForOptions(M, O).TimeUs
+              : failedScore();
+  Stages->storeScore(Entry, O.Mapping, Score);
+  return Score;
+}
+
 double Evaluator::scoreOne(const Candidate &C) const {
   PipelineOptions O = Base;
   Space.apply(C, O);
-  budget::BudgetScope Isolation(Cfg.CandidateBudget);
-  return predictInflTimeUs(K, O);
+  return score(O);
 }
 
 double Evaluator::baseline() {
   if (!HaveBaseline) {
-    budget::BudgetScope Isolation(Cfg.CandidateBudget);
-    BaselineScore = predictInflTimeUs(K, Base);
+    BaselineScore = score(Base);
     HaveBaseline = true;
   }
   return BaselineScore;

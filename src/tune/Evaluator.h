@@ -7,13 +7,24 @@
 ///
 /// \file
 /// Scores tuning candidates by the simulated infl-configuration kernel
-/// time. Each evaluation replays the pipeline's own decisions — the
-/// influenced scheduler, its isl fallback, vector finalization, GPU
-/// mapping and the warp simulator — under a per-candidate solver budget
-/// so one pathological candidate cannot stall the search. Batches run
-/// on a worker pool (the service::BatchCompiler atomic-index pattern);
-/// scores are analytic, so the result is identical for any worker
-/// count.
+/// time. Each evaluation replays the pipeline's own decisions as three
+/// stages — dependences, the schedule (the influenced scheduler, its
+/// isl fallback and vector finalization) and the score (GPU mapping and
+/// simulation) — under a per-candidate solver budget so one
+/// pathological candidate cannot stall the search.
+///
+/// An Evaluator memoizes each stage on its content for the life of one
+/// search: the kernel's dependences are computed once per
+/// DependenceOptions, a schedule once per (influence tree, scheduler
+/// options) and a score once per (schedule, mapping options), so
+/// candidates that differ only in mapping knobs, or in influence knobs
+/// that build the same tree, share the work. A stage result is served
+/// only where recomputing it would give the same answer, and its solver
+/// work is charged to the active budgets as if it had been redone, so
+/// every score equals what predictInflTimeUs returns under the same
+/// budgets. Batches run on a worker pool (the service::BatchCompiler
+/// atomic-index pattern); scores are analytic, so the result is
+/// identical for any worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +37,8 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace pinj {
@@ -57,6 +70,7 @@ public:
 
   Evaluator(const Kernel &K, const PipelineOptions &Base,
             const SearchSpace &Space, Config Cfg);
+  ~Evaluator();
 
   const Kernel &kernel() const { return K; }
   const PipelineOptions &base() const { return Base; }
@@ -80,12 +94,18 @@ public:
   }
 
 private:
+  class StageMemo;
+
+  /// predictInflTimeUs(K, O) under the candidate budget, through the
+  /// stage memo. Thread-safe.
+  double score(const PipelineOptions &O) const;
   double scoreOne(const Candidate &C) const;
 
   const Kernel &K;
   PipelineOptions Base;
   const SearchSpace &Space;
   Config Cfg;
+  std::unique_ptr<StageMemo> Stages;
   std::map<Candidate, double> Memo;
   double BaselineScore = 0;
   bool HaveBaseline = false;
@@ -98,7 +118,8 @@ private:
 /// fails or is not simulatable, vector-mark finalization, GPU mapping,
 /// warp simulation. \returns failedScore() when no simulatable schedule
 /// results or any solver budget tripped (a tripped run's schedule is
-/// not what the un-tripped pipeline would produce).
+/// not what the un-tripped pipeline would produce). The Evaluator's
+/// stages without the memo.
 double predictInflTimeUs(const Kernel &K, const PipelineOptions &O);
 
 /// The scheduling-and-mapping front half of predictInflTimeUs: produces
@@ -109,6 +130,12 @@ double predictInflTimeUs(const Kernel &K, const PipelineOptions &O);
 /// time-model constants.
 bool buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
                            MappedKernel &Out);
+
+/// The schedule stage's memo key: \p Tree's key (null: building the
+/// tree failed, so the stage takes the isl fallback) plus every
+/// SchedulerOptions field the stage reads, budget included.
+std::string scheduleStageKey(const InfluenceTree *Tree,
+                             const SchedulerOptions &Sched);
 
 } // namespace tune
 } // namespace pinj

@@ -1,5 +1,6 @@
 //===- tests/lp_test.cpp - lp/ unit and property tests --------------------===//
 
+#include "lp/Budget.h"
 #include "lp/Builder.h"
 #include "lp/Ilp.h"
 #include "lp/LexMin.h"
@@ -416,4 +417,39 @@ TEST(Rational, EuclideanComparisonNoOverflow)
   EXPECT_GT(A, B);
   EXPECT_LT(B, A);
   EXPECT_NE(A, B);
+}
+
+TEST(WorkMeter, ChargeWorkReplaysExactlyOrNotAtAll) {
+  // chargeWork(W) must leave a scope exactly as W single charges would,
+  // and refuse (charging nothing) whenever those charges would trip it.
+  SolverBudget B{/*MaxPivots=*/10, /*MaxIlpNodes=*/3, /*WallMs=*/0};
+  budget::BudgetScope Scope(B);
+  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  EXPECT_TRUE(budget::chargeWork({7, 3}));
+  EXPECT_FALSE(budget::chargeWork({4, 0})); // Only 3 pivots left.
+  EXPECT_FALSE(budget::chargeWork({0, 1})); // No node left.
+  EXPECT_FALSE(Scope.tripped());
+  EXPECT_EQ(Meter.work().Pivots, 7u);
+  EXPECT_EQ(Meter.work().IlpNodes, 3u);
+  EXPECT_TRUE(budget::chargeWork({3, 0})); // Exactly the rest.
+  EXPECT_FALSE(Scope.tripped());
+  EXPECT_FALSE(budget::chargePivot()); // The 11th pivot trips.
+  EXPECT_TRUE(Scope.tripped());
+  EXPECT_FALSE(budget::chargeWork({0, 0})); // Never past a trip.
+}
+
+TEST(WorkMeter, DetachedMeterHidesEnclosingScopes) {
+  SolverBudget B{/*MaxPivots=*/1, 0, 0};
+  budget::BudgetScope Scope(B);
+  {
+    budget::WorkMeter Meter(budget::WorkMeter::Detached);
+    for (int I = 0; I != 5; ++I)
+      EXPECT_TRUE(budget::chargePivot());
+    EXPECT_FALSE(budget::anyTripped());
+    EXPECT_EQ(Meter.work().Pivots, 5u);
+  }
+  EXPECT_FALSE(Scope.tripped());
+  EXPECT_TRUE(budget::chargePivot());
+  EXPECT_FALSE(budget::chargePivot());
+  EXPECT_TRUE(Scope.tripped());
 }

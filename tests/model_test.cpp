@@ -400,7 +400,7 @@ TEST(Surrogate, RanksWholeSpaceButEvaluatesOnlyTopK) {
                        {1, {}, /*MaxEvaluations=*/Space.size()});
   auto Strat = tune::makeSurrogateStrategy(Model, /*TopK=*/8);
   ASSERT_NE(Strat, nullptr);
-  EXPECT_EQ(Strat->name(), "surrogate");
+  EXPECT_STREQ(Strat->name(), "surrogate");
 
   obs::MetricsSnapshot Before = obs::metrics().snapshot();
   std::optional<tune::ScoredCandidate> Best = Strat->run(Space, Eval, 1);

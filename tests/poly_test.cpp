@@ -1,5 +1,6 @@
 //===- tests/poly_test.cpp - poly/ unit tests -----------------------------===//
 
+#include "lp/Budget.h"
 #include "poly/Dependence.h"
 #include "poly/Farkas.h"
 #include "poly/Set.h"
@@ -203,6 +204,42 @@ TEST(Dependence, PrintedSummary) {
 //===----------------------------------------------------------------------===//
 // Farkas linearization
 //===----------------------------------------------------------------------===//
+
+TEST(DependenceMemo, SharesOneAnalysisAndChargesItsWork) {
+  Kernel K = makeRunningExample(8);
+  DependenceOptions WithInput;
+  WithInput.IncludeInput = true;
+  DependenceMemo Memo(K);
+  SolverWork Fresh;
+  std::size_t FreshCount;
+  {
+    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    FreshCount = computeDependences(K).size();
+    Fresh = Meter.work();
+  }
+  ASSERT_GT(Fresh.Pivots, 0u);
+  for (int Round = 0; Round != 2; ++Round) {
+    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    const std::vector<DependenceRelation> *Deps = Memo.get({});
+    ASSERT_NE(Deps, nullptr);
+    EXPECT_EQ(Deps->size(), FreshCount);
+    // Each consumer is charged what a fresh analysis would charge.
+    EXPECT_EQ(Meter.work().Pivots, Fresh.Pivots);
+    EXPECT_EQ(Meter.work().IlpNodes, Fresh.IlpNodes);
+  }
+  ASSERT_NE(Memo.get(WithInput), nullptr);
+  EXPECT_GT(Memo.get(WithInput)->size(), FreshCount);
+
+  // A budget that a fresh analysis would trip gets nothing: the caller
+  // must analyze afresh and trip it the same way.
+  SolverBudget Tight{Fresh.Pivots - 1, 0, 0};
+  budget::BudgetScope Scope(Tight);
+  EXPECT_EQ(Memo.get({}), nullptr);
+  EXPECT_FALSE(Scope.tripped());
+  std::vector<DependenceRelation> Storage;
+  dependencesOf(K, {}, &Memo, Storage);
+  EXPECT_TRUE(Scope.tripped());
+}
 
 TEST(Farkas, ForcesNonNegativityOverBox) {
   // P = { x | 0 <= x <= 3 }. Psi(x) = a*x + b with ILP vars a (int) and

@@ -1,7 +1,9 @@
 //===- tests/tune_test.cpp - Autotuning subsystem tests -------------------===//
 //
 // Covers src/tune/: search-space enumeration and encoding round-trips,
-// evaluator memoization and the never-worse guarantee, strategy
+// evaluator memoization and the never-worse guarantee, the evaluator's
+// stage memo against fresh scoring (budgets, fail-points, worker
+// counts, memo keys, work counters), strategy
 // determinism across seeds and worker counts, tuning-database
 // persistence (corruption, version and space-shape staleness all
 // degrade to re-searches, never errors), and the pipeline-level tuning
@@ -11,8 +13,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "lp/Budget.h"
 #include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
+#include "support/FailPoint.h"
 #include "service/Fingerprint.h"
 #include "target/Target.h"
 #include "tune/Autotuner.h"
@@ -24,7 +28,10 @@
 #include "TestKernels.h"
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <set>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -292,6 +299,374 @@ TEST(Evaluator, ScoresIndependentOfWorkerCount) {
   ASSERT_EQ(S1.size(), S8.size());
   for (std::size_t I = 0; I < S1.size(); ++I)
     EXPECT_DOUBLE_EQ(S1[I], S8[I]) << "candidate " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Stage memo: every memoized score must equal fresh predictInflTimeUs
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<Kernel> allTestKernels() {
+  return {makeRunningExample(8),       makeElementwise(8, 12),
+          makeTranspose(16, 24),       makeProducerConsumer(8, 16),
+          makeBadOrderCopy(16, 64),    makeRowReduction(8, 32)};
+}
+
+/// All of \p Space when \p Stride is 1, else every Stride-th candidate.
+std::vector<Candidate> sampleSpace(const SearchSpace &Space,
+                                   std::size_t Stride) {
+  std::vector<Candidate> Out;
+  for (std::size_t I = 0; I < Space.size(); I += Stride)
+    Out.push_back(Space.candidateAt(I));
+  return Out;
+}
+
+/// The un-memoized reference: predictInflTimeUs per candidate, each
+/// under its own candidate budget, exactly as the evaluator isolates it.
+std::vector<double> freshScores(const Kernel &K, const SearchSpace &Space,
+                                const std::vector<Candidate> &Cands,
+                                const SolverBudget &CandidateBudget,
+                                const PipelineOptions &Base = {}) {
+  std::vector<double> Out;
+  for (const Candidate &C : Cands) {
+    PipelineOptions O = Base;
+    Space.apply(C, O);
+    budget::BudgetScope Isolation(CandidateBudget);
+    Out.push_back(predictInflTimeUs(K, O));
+  }
+  return Out;
+}
+
+std::vector<double> memoScores(const Kernel &K, const SearchSpace &Space,
+                               const std::vector<Candidate> &Cands,
+                               const SolverBudget &CandidateBudget,
+                               unsigned Jobs,
+                               const PipelineOptions &Base = {}) {
+  Evaluator::Config Cfg;
+  Cfg.Jobs = Jobs;
+  Cfg.CandidateBudget = CandidateBudget;
+  Cfg.MaxEvaluations = Cands.size();
+  Evaluator Eval(K, Base, Space, Cfg);
+  return Eval.evaluate(Cands);
+}
+
+/// Bit-equality, so that a failedScore() (infinity) matches itself.
+void expectSameScores(const std::vector<double> &Fresh,
+                      const std::vector<double> &Memo,
+                      const std::string &What) {
+  ASSERT_EQ(Fresh.size(), Memo.size()) << What;
+  for (std::size_t I = 0; I < Fresh.size(); ++I)
+    EXPECT_EQ(std::memcmp(&Fresh[I], &Memo[I], sizeof(double)), 0)
+        << What << " candidate " << I << ": fresh " << Fresh[I]
+        << " memo " << Memo[I];
+}
+
+} // namespace
+
+TEST(StageMemo, MatchesFreshScoringOnEveryKernelAndBudget) {
+  SearchSpace Tiny = tinySearchSpace();
+  SearchSpace Full = defaultSearchSpace();
+  // 2592 candidates; stride 41 walks every dimension, budget tiers
+  // 0, 1 and 2 included (41 mod 3 != 0).
+  std::vector<Candidate> TinyCands = sampleSpace(Tiny, 1);
+  std::vector<Candidate> FullCands = sampleSpace(Full, 41);
+
+  // The test kernels take ~50-1000 pivots per candidate, so a 300-pivot
+  // candidate budget starves some candidates and not others; a 200-pivot
+  // scheduler budget (tier 0 keeps it, tiers 1 and 2 replace it) trips
+  // inside scheduling runs, where no enclosing scope sees it.
+  struct Setup {
+    const char *Name;
+    SolverBudget CandidateBudget;
+    PipelineOptions Base;
+  };
+  std::vector<Setup> Setups(3);
+  Setups[0].Name = "default";
+  Setups[0].CandidateBudget = Evaluator::Config().CandidateBudget;
+  Setups[1].Name = "pivot-starved candidates";
+  Setups[1].CandidateBudget = {/*MaxPivots=*/300, 0, 0};
+  Setups[2] = Setups[0];
+  Setups[2].Name = "pivot-starved scheduler";
+  Setups[2].Base.Sched.Budget.MaxPivots = 200;
+
+  for (const Setup &S : Setups) {
+    std::size_t Finite = 0, Failed = 0;
+    for (const Kernel &K : allTestKernels()) {
+      const SolverBudget &B = S.CandidateBudget;
+      std::string What = K.Name + " " + S.Name;
+      std::vector<double> Fresh = freshScores(K, Tiny, TinyCands, B, S.Base);
+      expectSameScores(Fresh, memoScores(K, Tiny, TinyCands, B, 1, S.Base),
+                       What + " tiny");
+      Fresh = freshScores(K, Full, FullCands, B, S.Base);
+      std::vector<double> Serial =
+          memoScores(K, Full, FullCands, B, 1, S.Base);
+      expectSameScores(Fresh, Serial, What + " full");
+      expectSameScores(Serial, memoScores(K, Full, FullCands, B, 8, S.Base),
+                       What + " jobs=8");
+      for (double Score : Fresh)
+        ++(Score == failedScore() ? Failed : Finite);
+    }
+    // Each setup must see both outcomes, or it proves little.
+    EXPECT_GT(Finite, 0u) << S.Name;
+    if (S.Name != Setups[0].Name)
+      EXPECT_GT(Failed, 0u) << S.Name;
+  }
+}
+
+TEST(StageMemo, MatchesFreshScoringUnderSchedulerFailPoints) {
+  Kernel K = makeRunningExample(8);
+  SearchSpace Space = defaultSearchSpace();
+  std::vector<Candidate> Cands = sampleSpace(Space, 97);
+  SolverBudget B = Evaluator::Config().CandidateBudget;
+  // sched.schedule fails every run; influence.tree only the tree, so
+  // every candidate shares the isl-fallback schedule.
+  for (const char *Site : {"sched.schedule", "influence.tree"}) {
+    failpoint::activate(Site);
+    std::vector<double> Fresh = freshScores(K, Space, Cands, B);
+    std::vector<double> Memo = memoScores(K, Space, Cands, B, 1);
+    failpoint::clearAll();
+    expectSameScores(Fresh, Memo, Site);
+  }
+}
+
+TEST(StageMemo, OuterPivotCapTrippingMidSearchMatchesFreshScoring) {
+  Kernel K = makeRunningExample(8);
+  SearchSpace Space = defaultSearchSpace();
+  ASSERT_EQ(Space.dims()[4].Name, "mapping.max_threads");
+  auto WithThreads = [&](Candidate C, unsigned Step) {
+    C[4] = (C[4] + Step) % Space.dims()[4].Values.size();
+    return C;
+  };
+  // Each sampled candidate is followed by a mapping.max_threads
+  // neighbour, which hits its schedule: the hit must charge the outer
+  // cap what recomputing the schedule would.
+  std::vector<Candidate> Cands;
+  for (const Candidate &C : sampleSpace(Space, 47)) {
+    Cands.push_back(C);
+    Cands.push_back(WithThreads(C, 1));
+  }
+  SolverBudget B = Evaluator::Config().CandidateBudget;
+
+  // Size the outer cap at half the work the un-memoized search does.
+  SolverWork Total;
+  {
+    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    freshScores(K, Space, Cands, B);
+    Total = Meter.work();
+  }
+  ASSERT_GT(Total.Pivots, 0u);
+  SolverBudget Outer{Total.Pivots / 2, 0, 0};
+
+  std::vector<double> Fresh, Memo;
+  Evaluator Eval(K, PipelineOptions(), Space, {1, B, 4 * Cands.size()});
+  {
+    budget::BudgetScope Cap(Outer);
+    Fresh = freshScores(K, Space, Cands, B);
+  }
+  obs::MetricsSnapshot Before = obs::metrics().snapshot();
+  {
+    budget::BudgetScope Cap(Outer);
+    for (const Candidate &C : Cands)
+      Memo.push_back(Eval.evaluate({C})[0]);
+    EXPECT_TRUE(Cap.tripped());
+  }
+  EXPECT_GT(obs::metrics().snapshot().since(Before).counter(
+                "tune.stage_schedule_hits"),
+            0u);
+  expectSameScores(Fresh, Memo, "under the outer cap");
+  EXPECT_NE(Memo.front(), failedScore());
+  EXPECT_EQ(Memo.back(), failedScore());
+
+  // Under a tripped scope a stored schedule fails at once, as
+  // recomputing it would, without redoing any of its work.
+  {
+    SolverBudget One{1, 0, 0};
+    budget::BudgetScope Cap(One);
+    budget::chargePivot();
+    budget::chargePivot();
+    ASSERT_TRUE(Cap.tripped());
+    Before = obs::metrics().snapshot();
+    EXPECT_EQ(Eval.evaluate({WithThreads(Cands[0], 2)})[0], failedScore());
+    obs::MetricsSnapshot D = obs::metrics().snapshot().since(Before);
+    EXPECT_EQ(D.counter("poly.dependence_runs"), 0u);
+    EXPECT_EQ(D.counter("sched.runs"), 0u);
+  }
+
+  // With the cap gone, candidates sharing a schedule with the ones that
+  // failed under it must score afresh: nothing tripped was stored.
+  std::vector<Candidate> Siblings;
+  for (std::size_t I = 0; I < Cands.size(); I += 2)
+    Siblings.push_back(WithThreads(Cands[I], 3));
+  expectSameScores(freshScores(K, Space, Siblings, B),
+                   Eval.evaluate(Siblings), "after the outer cap");
+}
+
+TEST(StageMemo, TreeKeyCoversEveryFieldTheSchedulerReads) {
+  InfluenceTree Base;
+  InfluenceNode *N = Base.root().addChild("n0");
+  N->Constraints.push_back(makeCoeffEquals(0, 0, 1, 1));
+  N->Objectives.push_back({{{0, 0, 0, 1}}});
+  N->VectorStmts = {0};
+  N->VectorWidth = 4;
+  N->addChild("n1");
+  Base.root().addChild("n2");
+  const std::string BaseKey = Base.key();
+
+  // Each mutation edits one field of a fresh copy of Base's shape.
+  auto Mutated = [&](auto Edit) {
+    InfluenceTree T;
+    InfluenceNode *M = T.root().addChild("n0");
+    M->Constraints = N->Constraints;
+    M->Objectives = N->Objectives;
+    M->VectorStmts = N->VectorStmts;
+    M->VectorWidth = N->VectorWidth;
+    M->addChild("n1");
+    T.root().addChild("n2");
+    EXPECT_EQ(T.key(), BaseKey) << "copy must match before editing";
+    Edit(T);
+    return T.key();
+  };
+  auto First = [](InfluenceTree &T) -> InfluenceNode & {
+    return *T.root().Children[0];
+  };
+  std::vector<std::pair<const char *, std::string>> Keys = {
+      {"depth", Mutated([&](InfluenceTree &T) { First(T).Depth = 3; })},
+      {"label", Mutated([&](InfluenceTree &T) { First(T).Label = "x"; })},
+      {"term stmt", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Terms[0].Stmt = 1;
+       })},
+      {"term dim", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Terms[0].Dim = 1;
+       })},
+      {"term coeff", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Terms[0].CoeffIdx = 0;
+       })},
+      {"term factor", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Terms[0].Factor = 2;
+       })},
+      {"constant", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Constant = 0;
+       })},
+      {"relation", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints[0].Rel = InfluenceConstraint::Ge;
+       })},
+      {"constraint count", Mutated([&](InfluenceTree &T) {
+         First(T).Constraints.push_back(makeCoeffEquals(0, 0, 0, 0));
+       })},
+      {"objective", Mutated([&](InfluenceTree &T) {
+         First(T).Objectives[0].Terms[0].Factor = -1;
+       })},
+      {"objective count", Mutated([&](InfluenceTree &T) {
+         First(T).Objectives.clear();
+       })},
+      {"require parallel", Mutated([&](InfluenceTree &T) {
+         First(T).RequireParallel = true;
+       })},
+      {"vector stmts", Mutated([&](InfluenceTree &T) {
+         First(T).VectorStmts = {1};
+       })},
+      {"vector width", Mutated([&](InfluenceTree &T) {
+         First(T).VectorWidth = 2;
+       })},
+      {"child order", Mutated([&](InfluenceTree &T) {
+         std::swap(T.root().Children[0], T.root().Children[1]);
+       })},
+      {"child count", Mutated([&](InfluenceTree &T) {
+         First(T).addChild("n3");
+       })},
+  };
+  std::set<std::string> Distinct = {BaseKey};
+  for (const auto &[Field, Key] : Keys) {
+    EXPECT_NE(Key, BaseKey) << Field;
+    Distinct.insert(Key);
+  }
+  EXPECT_EQ(Distinct.size(), Keys.size() + 1);
+
+  // The stage key adds every scheduler option the stage reads, and
+  // tells "no tree" (building it failed) from an empty tree.
+  SchedulerOptions S;
+  const std::string StageKey = scheduleStageKey(&Base, S);
+  std::vector<std::function<void(SchedulerOptions &)>> Edits = {
+      [](SchedulerOptions &O) { O.CoeffBound = 3; },
+      [](SchedulerOptions &O) { O.ConstBound = 8; },
+      [](SchedulerOptions &O) { O.ProximityIncludesInput = true; },
+      [](SchedulerOptions &O) { O.PreferOriginalOrder = false; },
+      [](SchedulerOptions &O) { O.UseFeautrierFallback = true; },
+      [](SchedulerOptions &O) { O.MaxDims = 8; },
+      [](SchedulerOptions &O) { O.Budget.MaxPivots = 50000; },
+      [](SchedulerOptions &O) { O.Budget.MaxIlpNodes = 5000; },
+      [](SchedulerOptions &O) { O.Budget.WallMs = 10; },
+  };
+  for (std::size_t I = 0; I < Edits.size(); ++I) {
+    SchedulerOptions O = S;
+    Edits[I](O);
+    EXPECT_NE(scheduleStageKey(&Base, O), StageKey) << "option " << I;
+  }
+  // The stage sets SerializeSccs itself for each of its runs.
+  SchedulerOptions Serialized = S;
+  Serialized.SerializeSccs = true;
+  EXPECT_EQ(scheduleStageKey(&Base, Serialized), StageKey);
+  InfluenceTree Empty;
+  EXPECT_NE(scheduleStageKey(nullptr, S), scheduleStageKey(&Empty, S));
+}
+
+TEST(StageMemo, OptionsBuildingTheSameTreeShareAKey) {
+  Kernel K = makeRunningExample(8);
+  InfluenceOptions Wide, Narrow;
+  Wide.ThreadLimit = 1024;
+  Narrow.ThreadLimit = 512;
+  InfluenceTree A = buildInfluenceTree(K, Wide);
+  InfluenceTree B = buildInfluenceTree(K, Narrow);
+  ASSERT_FALSE(A.empty());
+  EXPECT_EQ(A.key(), B.key());
+  EXPECT_EQ(scheduleStageKey(&A, SchedulerOptions()),
+            scheduleStageKey(&B, SchedulerOptions()));
+  // A knob that does reshape the tree changes the key.
+  InfluenceOptions Scalar;
+  Scalar.MaxVectorWidth = 1;
+  EXPECT_NE(buildInfluenceTree(K, Scalar).key(), A.key());
+}
+
+TEST(StageMemo, TreePrintoutShowsObjectivesAndParallelRequirement) {
+  Kernel K = makeRunningExample(8);
+  InfluenceTree T;
+  InfluenceNode *N = T.root().addChild("par");
+  N->RequireParallel = true;
+  N->Objectives.push_back({{{1, 0, 0, 1}, {1, 0, 2, -1}}});
+  EXPECT_EQ(T.str(K), "node depth=0 'par' require-parallel\n"
+                      "  minimize T[Y,0,i] - T[Y,0,k]\n");
+  // Built trees set neither, so their printout carries neither.
+  std::string Built = buildInfluenceTree(K, InfluenceOptions()).str(K);
+  EXPECT_EQ(Built.find("require-parallel"), std::string::npos);
+  EXPECT_EQ(Built.find("minimize"), std::string::npos);
+}
+
+TEST(StageMemo, OneDependenceAnalysisPerOptionsAndSharedStages) {
+  Kernel K = makeRunningExample(8);
+  struct Search {
+    const char *Strategy;
+    SearchSpace Space;
+    std::size_t Budget;
+    std::uint64_t MaxDependenceRuns;
+  };
+  // The default space toggles sched.proximity_input (two
+  // DependenceOptions values); the tiny space never does.
+  for (const Search &S : {Search{"greedy", defaultSearchSpace(), 64, 2},
+                          Search{"exhaustive", tinySearchSpace(), 64, 1},
+                          Search{"anneal", defaultSearchSpace(), 16, 2}}) {
+    obs::MetricsSnapshot Before = obs::metrics().snapshot();
+    Evaluator Eval(K, PipelineOptions(), S.Space,
+                   {1, Evaluator::Config().CandidateBudget, S.Budget});
+    Eval.baseline();
+    ASSERT_TRUE(makeStrategy(S.Strategy)->run(S.Space, Eval, 3).has_value());
+    obs::MetricsSnapshot D = obs::metrics().snapshot().since(Before);
+    EXPECT_GE(D.counter("poly.dependence_runs"), 1u) << S.Strategy;
+    EXPECT_LE(D.counter("poly.dependence_runs"), S.MaxDependenceRuns)
+        << S.Strategy;
+    EXPECT_GT(D.counter("tune.stage_schedule_hits"), 0u) << S.Strategy;
+    EXPECT_GT(D.counter("tune.stage_score_hits"), 0u) << S.Strategy;
+  }
 }
 
 //===----------------------------------------------------------------------===//
