@@ -98,6 +98,11 @@ struct SuiteCounts {
   unsigned Infl;
 };
 
+// Print the suite by name: GoogleTest's default byte dump would embed the
+// address of Name in the discovered test names, which then change on every
+// build.
+void PrintTo(const SuiteCounts &S, std::ostream *OS) { *OS << S.Name; }
+
 class NetworkCounts : public ::testing::TestWithParam<SuiteCounts> {};
 
 TEST_P(NetworkCounts, MatchesTable2) {
