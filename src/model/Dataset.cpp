@@ -9,22 +9,17 @@
 
 #include "obs/Metrics.h"
 #include "service/Fingerprint.h"
+#include "support/TextFile.h"
 #include "target/Target.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::model;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -50,37 +45,6 @@ constexpr const char *FileHeader = "polyinject-dataset v2";
 obs::Counter &rejectCounter() {
   static obs::Counter &C = obs::metrics().counter("model.dataset_rejects");
   return C;
-}
-
-bool fail(std::string *Err, const std::string &Msg) {
-  if (Err)
-    *Err = Msg;
-  return false;
-}
-
-bool validHex32(const std::string &S) {
-  if (S.size() != 32)
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
-}
-
-/// The file format is whitespace-tokenized; provenance strings must be
-/// single tokens.
-std::string sanitizeToken(const std::string &S) {
-  std::string Out = S.empty() ? "_" : S;
-  for (char &C : Out)
-    if (std::isspace(static_cast<unsigned char>(C)))
-      C = '_';
-  return Out;
-}
-
-bool parseDoubleTok(const std::string &Tok, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End != Tok.c_str() && *End == '\0' && std::isfinite(Out);
 }
 
 } // namespace
@@ -177,64 +141,50 @@ std::string pinj::model::serializeDataset(const Dataset &D) {
   return Out.str();
 }
 
-bool pinj::model::parseDataset(const std::string &Text, Dataset &Out,
-                               std::string *Err) {
-  Out = Dataset();
+namespace {
+
+/// The strict parser behind parseDataset. \returns the empty string on
+/// success, else why the whole file is rejected.
+std::string parseDatasetText(const std::string &Text, Dataset &Out) {
   std::istringstream In(Text);
   std::string Line;
 
-  if (!std::getline(In, Line) || Line != FileHeader) {
-    rejectCounter().inc();
-    return fail(Err, "not a polyinject dataset file (bad header)");
-  }
+  if (!std::getline(In, Line) || Line != FileHeader)
+    return "not a polyinject dataset file (bad header)";
 
   auto HexLine = [&](const char *Tag, std::string &Dst) {
     if (!std::getline(In, Line))
       return false;
     std::istringstream F(Line);
     std::string T, Hex;
-    if (!(F >> T >> Hex) || T != Tag || !validHex32(Hex))
+    if (!(F >> T >> Hex) || T != Tag || !isLowerHex32(Hex))
       return false;
     Dst = Hex;
     return true;
   };
-  if (!HexLine("schema", Out.SchemaHash)) {
-    rejectCounter().inc();
-    return fail(Err, "malformed schema line");
-  }
-  if (Out.SchemaHash != featureSchemaHash()) {
-    rejectCounter().inc();
-    return fail(Err, "stale dataset: feature schema hash mismatch");
-  }
-  if (!HexLine("space", Out.SpaceSignature)) {
-    rejectCounter().inc();
-    return fail(Err, "malformed space line");
-  }
+  if (!HexLine("schema", Out.SchemaHash))
+    return "malformed schema line";
+  if (Out.SchemaHash != featureSchemaHash())
+    return "stale dataset: feature schema hash mismatch";
+  if (!HexLine("space", Out.SpaceSignature))
+    return "malformed space line";
   {
-    if (!std::getline(In, Line)) {
-      rejectCounter().inc();
-      return fail(Err, "truncated dataset file (no target line)");
-    }
+    if (!std::getline(In, Line))
+      return "truncated dataset file (no target line)";
     std::istringstream F(Line);
     std::string Tag, Extra;
-    if (!(F >> Tag >> Out.TargetId) || Tag != "target" || (F >> Extra)) {
-      rejectCounter().inc();
-      return fail(Err, "malformed target line");
-    }
+    if (!(F >> Tag >> Out.TargetId) || Tag != "target" || (F >> Extra))
+      return "malformed target line";
   }
 
   std::size_t Count = 0;
-  if (!std::getline(In, Line)) {
-    rejectCounter().inc();
-    return fail(Err, "truncated dataset file (no count line)");
-  }
+  if (!std::getline(In, Line))
+    return "truncated dataset file (no count line)";
   {
     std::istringstream F(Line);
     std::string Tag;
-    if (!(F >> Tag >> Count) || Tag != "count") {
-      rejectCounter().inc();
-      return fail(Err, "malformed count line");
-    }
+    if (!(F >> Tag >> Count) || Tag != "count")
+      return "malformed count line";
   }
 
   std::size_t NumFeat = featureCount();
@@ -248,71 +198,53 @@ bool pinj::model::parseDataset(const std::string &Text, Dataset &Out,
     std::string Tag, TimeTok;
     Sample S;
     if (!(F >> Tag >> S.Kernel >> S.Encoding >> TimeTok) || Tag != "sample" ||
-        !parseDoubleTok(TimeTok, S.TimeUs)) {
-      rejectCounter().inc();
-      return fail(Err, "malformed sample line: " + Line);
-    }
+        !parseFiniteDouble(TimeTok, S.TimeUs))
+      return "malformed sample line: " + Line;
     S.X.reserve(NumFeat);
     std::string Tok;
     while (F >> Tok) {
       double V;
-      if (S.X.size() >= NumFeat || !parseDoubleTok(Tok, V)) {
-        rejectCounter().inc();
-        return fail(Err, "malformed sample features: " + Line);
-      }
+      if (S.X.size() >= NumFeat || !parseFiniteDouble(Tok, V))
+        return "malformed sample features: " + Line;
       S.X.push_back(V);
     }
-    if (S.X.size() != NumFeat) {
-      rejectCounter().inc();
-      return fail(Err, "sample feature count mismatch: " + Line);
-    }
+    if (S.X.size() != NumFeat)
+      return "sample feature count mismatch: " + Line;
     Out.Samples.push_back(std::move(S));
   }
-  if (!SawEnd) {
-    rejectCounter().inc();
-    return fail(Err, "truncated dataset file (no end marker)");
-  }
-  if (Out.Samples.size() != Count) {
-    rejectCounter().inc();
-    return fail(Err, "sample count mismatch (header says " +
-                         std::to_string(Count) + ", file has " +
-                         std::to_string(Out.Samples.size()) + ")");
-  }
-  return true;
+  if (!SawEnd)
+    return "truncated dataset file (no end marker)";
+  if (Out.Samples.size() != Count)
+    return "sample count mismatch (header says " + std::to_string(Count) +
+           ", file has " + std::to_string(Out.Samples.size()) + ")";
+  return "";
+}
+
+} // namespace
+
+bool pinj::model::parseDataset(const std::string &Text, Dataset &Out,
+                               std::string *Err) {
+  Out = Dataset();
+  std::string Why = parseDatasetText(Text, Out);
+  if (Why.empty())
+    return true;
+  rejectCounter().inc();
+  if (Err)
+    *Err = Why;
+  return false;
 }
 
 bool pinj::model::saveDataset(const Dataset &D, const std::string &Path,
                               std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return fail(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeDataset(D);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return fail(Err, "write to " + Tmp + " failed");
-    }
-  }
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return fail(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomic(Path, serializeDataset(D), Err);
 }
 
 bool pinj::model::loadDataset(const std::string &Path, Dataset &Out,
                               std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return fail(Err, "cannot open dataset file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return parseDataset(Text.str(), Out, Err);
+  std::string Text;
+  if (readFile(Path, Text))
+    return parseDataset(Text, Out, Err);
+  if (Err)
+    *Err = "cannot open dataset file " + Path;
+  return false;
 }

@@ -9,12 +9,12 @@
 
 #include "influence/AccessAnalysis.h"
 #include "service/Fingerprint.h"
+#include "support/TextFile.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 namespace pinj {
@@ -330,9 +330,8 @@ bool parseFeatures(const std::string &Text, FeatureVector &Out) {
   while (In >> Tok) {
     if (Out.size() >= NumFeatures)
       return false;
-    char *End = nullptr;
-    double V = std::strtod(Tok.c_str(), &End);
-    if (End == Tok.c_str() || *End != '\0' || !std::isfinite(V))
+    double V;
+    if (!parseFiniteDouble(Tok, V))
       return false;
     Out.push_back(V);
   }

@@ -8,21 +8,16 @@
 #include "model/GbStumps.h"
 
 #include "obs/Metrics.h"
+#include "support/TextFile.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::model;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -46,24 +41,11 @@ obs::Counter &rejectCounter() {
   return C;
 }
 
-bool fail(std::string *Err, const std::string &Msg) {
-  if (Err)
-    *Err = Msg;
-  return false;
-}
-
 std::uint64_t xorshift64(std::uint64_t &S) {
   S ^= S << 13;
   S ^= S >> 7;
   S ^= S << 17;
   return S;
-}
-
-/// Strict double parse: the whole token, finite result.
-bool parseDouble(const std::string &Tok, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End != Tok.c_str() && *End == '\0' && std::isfinite(Out);
 }
 
 struct SplitChoice {
@@ -216,40 +198,32 @@ std::string pinj::model::serializeModel(const GbStumpsModel &M) {
   return Out.str();
 }
 
-bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
-                             std::string *Err) {
-  Out = GbStumpsModel();
+namespace {
+
+/// The strict parser behind parseModel. \returns the empty string on
+/// success, else why the whole file is rejected.
+std::string parseModelText(const std::string &Text, GbStumpsModel &Out) {
   std::istringstream In(Text);
   std::string Line;
 
-  if (!std::getline(In, Line) || Line != FileHeader) {
-    rejectCounter().inc();
-    return fail(Err, "not a polyinject model file (bad header)");
-  }
+  if (!std::getline(In, Line) || Line != FileHeader)
+    return "not a polyinject model file (bad header)";
 
-  if (!std::getline(In, Line)) {
-    rejectCounter().inc();
-    return fail(Err, "truncated model file (no schema line)");
-  }
+  if (!std::getline(In, Line))
+    return "truncated model file (no schema line)";
   {
     std::istringstream F(Line);
     std::string Tag, Hash;
-    if (!(F >> Tag >> Hash) || Tag != "schema" || Hash.size() != 32) {
-      rejectCounter().inc();
-      return fail(Err, "malformed schema line");
-    }
-    if (Hash != featureSchemaHash()) {
-      rejectCounter().inc();
-      return fail(Err, "stale model: feature schema hash mismatch (model " +
-                           Hash + ", current " + featureSchemaHash() + ")");
-    }
+    if (!(F >> Tag >> Hash) || Tag != "schema" || Hash.size() != 32)
+      return "malformed schema line";
+    if (Hash != featureSchemaHash())
+      return "stale model: feature schema hash mismatch (model " + Hash +
+             ", current " + featureSchemaHash() + ")";
     Out.SchemaHash = Hash;
   }
 
-  if (!std::getline(In, Line)) {
-    rejectCounter().inc();
-    return fail(Err, "truncated model file (no config line)");
-  }
+  if (!std::getline(In, Line))
+    return "truncated model file (no config line)";
   {
     std::istringstream F(Line);
     std::string Tag, RoundsTag, ShrTag, ShrTok, SeedTag, SubTag, SubTok;
@@ -257,10 +231,8 @@ bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
           SeedTag >> Out.Config.Seed >> SubTag >> SubTok) ||
         Tag != "config" || RoundsTag != "rounds" || ShrTag != "shrinkage" ||
         SeedTag != "seed" || SubTag != "subsample" ||
-        !parseDouble(ShrTok, Out.Config.Shrinkage)) {
-      rejectCounter().inc();
-      return fail(Err, "malformed config line");
-    }
+        !parseFiniteDouble(ShrTok, Out.Config.Shrinkage))
+      return "malformed config line";
     std::size_t Slash = SubTok.find('/');
     try {
       std::size_t UsedN = 0, UsedD = 0;
@@ -274,22 +246,18 @@ bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
       if (UsedN != Slash || UsedD != Den.size())
         throw std::invalid_argument("trailing junk");
     } catch (...) {
-      rejectCounter().inc();
-      return fail(Err, "malformed subsample fraction");
+      return "malformed subsample fraction";
     }
   }
 
-  if (!std::getline(In, Line)) {
-    rejectCounter().inc();
-    return fail(Err, "truncated model file (no base line)");
-  }
+  if (!std::getline(In, Line))
+    return "truncated model file (no base line)";
   {
     std::istringstream F(Line);
     std::string Tag, Tok;
-    if (!(F >> Tag >> Tok) || Tag != "base" || !parseDouble(Tok, Out.Base)) {
-      rejectCounter().inc();
-      return fail(Err, "malformed base line");
-    }
+    if (!(F >> Tag >> Tok) || Tag != "base" ||
+        !parseFiniteDouble(Tok, Out.Base))
+      return "malformed base line";
   }
 
   bool SawEnd = false;
@@ -304,53 +272,42 @@ bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
     std::string Trail;
     if (!(F >> Tag >> S.Feature >> ThrTok >> LeftTok >> RightTok) ||
         Tag != "stump" || S.Feature >= featureCount() ||
-        !parseDouble(ThrTok, S.Threshold) || !parseDouble(LeftTok, S.Left) ||
-        !parseDouble(RightTok, S.Right) || bool(F >> Trail)) {
-      rejectCounter().inc();
-      return fail(Err, "malformed stump line: " + Line);
-    }
+        !parseFiniteDouble(ThrTok, S.Threshold) ||
+        !parseFiniteDouble(LeftTok, S.Left) ||
+        !parseFiniteDouble(RightTok, S.Right) || bool(F >> Trail))
+      return "malformed stump line: " + Line;
     Out.Stumps.push_back(S);
   }
-  if (!SawEnd) {
-    rejectCounter().inc();
-    return fail(Err, "truncated model file (no end marker)");
-  }
-  return true;
+  if (!SawEnd)
+    return "truncated model file (no end marker)";
+  return "";
+}
+
+} // namespace
+
+bool pinj::model::parseModel(const std::string &Text, GbStumpsModel &Out,
+                             std::string *Err) {
+  Out = GbStumpsModel();
+  std::string Why = parseModelText(Text, Out);
+  if (Why.empty())
+    return true;
+  rejectCounter().inc();
+  if (Err)
+    *Err = Why;
+  return false;
 }
 
 bool pinj::model::saveModel(const GbStumpsModel &M, const std::string &Path,
                             std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return fail(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeModel(M);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return fail(Err, "write to " + Tmp + " failed");
-    }
-  }
-  // Write-then-rename so readers only ever see complete model files.
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return fail(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomic(Path, serializeModel(M), Err);
 }
 
 bool pinj::model::loadModel(const std::string &Path, GbStumpsModel &Out,
                             std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return fail(Err, "cannot open model file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return parseModel(Text.str(), Out, Err);
+  std::string Text;
+  if (readFile(Path, Text))
+    return parseModel(Text, Out, Err);
+  if (Err)
+    *Err = "cannot open model file " + Path;
+  return false;
 }

@@ -4,10 +4,9 @@
 
 #include "obs/Json.h"
 #include "obs/Metrics.h"
+#include "support/TextFile.h"
 
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 
 namespace pinj {
 namespace obs {
@@ -98,14 +97,9 @@ void ExpositionWriter::stop() {
 }
 
 void ExpositionWriter::writeOnce() const {
-  std::string Tmp = Path + ".tmp";
-  {
-    std::ofstream Out(Tmp, std::ios::out | std::ios::trunc);
-    if (!Out)
-      return;
-    Out << metrics().renderExposition();
-  }
-  std::rename(Tmp.c_str(), Path.c_str());
+  // Best effort: a failed write leaves the last good scrape in place and
+  // the next interval tries again.
+  writeFileAtomic(Path, metrics().renderExposition(), nullptr);
 }
 
 } // namespace obs

@@ -4,12 +4,10 @@
 
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
+#include "support/Parallel.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
-#include <mutex>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::service;
@@ -77,37 +75,18 @@ BatchResult BatchCompiler::run(const std::vector<BatchJob> &Jobs) {
         .field("workers",
                std::min<std::size_t>(NumWorkers, Jobs.size()));
 
-  std::atomic<std::size_t> Next{0};
-  auto Work = [&]() {
-    for (;;) {
-      std::size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-      if (I >= Jobs.size())
-        return;
-      obs::RequestScope Request(RequestIds[I]);
-      try {
-        Result.Reports[I] = runOperator(Jobs[I].K, WorkerOptions);
-      } catch (const std::exception &Ex) {
-        Result.Reports[I] = failedReport(Jobs[I].K.Name, Ex.what());
-        Result.Reports[I].RequestId = RequestIds[I];
-      } catch (...) {
-        Result.Reports[I] = failedReport(Jobs[I].K.Name, "unknown");
-        Result.Reports[I].RequestId = RequestIds[I];
-      }
+  parallelFor(Jobs.size(), NumWorkers, [&](std::size_t I) {
+    obs::RequestScope Request(RequestIds[I]);
+    try {
+      Result.Reports[I] = runOperator(Jobs[I].K, WorkerOptions);
+    } catch (const std::exception &Ex) {
+      Result.Reports[I] = failedReport(Jobs[I].K.Name, Ex.what());
+      Result.Reports[I].RequestId = RequestIds[I];
+    } catch (...) {
+      Result.Reports[I] = failedReport(Jobs[I].K.Name, "unknown");
+      Result.Reports[I].RequestId = RequestIds[I];
     }
-  };
-
-  unsigned PoolSize = static_cast<unsigned>(
-      std::min<std::size_t>(NumWorkers, Jobs.size()));
-  if (PoolSize <= 1) {
-    Work();
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(PoolSize);
-    for (unsigned W = 0; W != PoolSize; ++W)
-      Pool.emplace_back(Work);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  });
 
   if (obs::Journal::fastEnabled())
     obs::JournalEvent("batch_end")

@@ -5,12 +5,11 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "sched/Schedule.h"
+#include "support/TextFile.h"
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 using namespace pinj;
@@ -354,16 +353,8 @@ bool ScheduleCache::diskLookup(const Fingerprint &Key, const Kernel &K,
   if (Path.empty())
     return false;
   std::string Text;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    if (!In)
-      return false; // Not present: a plain miss, not a reject.
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    if (In.bad())
-      return false;
-    Text = Buf.str();
-  }
+  if (!readFile(Path, Text))
+    return false; // Not present: a plain miss, not a reject.
   std::string Error;
   CachedCompilation Decoded;
   bool Ok = decodeCacheEntry(Text, Key, Decoded, Error);
@@ -400,25 +391,7 @@ void ScheduleCache::diskStore(const Fingerprint &Key,
   fs::create_directories(Cfg.DiskDir, Ec);
   if (Ec)
     return; // Disk tier is best-effort; memory tier already has it.
-  // Write-then-rename so readers only ever see complete files, even
-  // with concurrent writers (the rename is atomic within a directory).
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OutF)
-      return;
-    OutF << encodeCacheEntry(Key, Value);
-    OutF.close();
-    if (!OutF) {
-      fs::remove(Tmp, Ec);
-      return;
-    }
-  }
-  fs::rename(Tmp, Path, Ec);
-  if (Ec)
-    fs::remove(Tmp, Ec);
+  writeFileAtomic(Path, encodeCacheEntry(Key, Value), nullptr);
 }
 
 bool ScheduleCache::lookup(const Kernel &K, const PipelineOptions &Options,
@@ -511,22 +484,12 @@ SweepReport service::sweepCacheDir(const std::string &DiskDir) {
         Why = "file name is not a fingerprint";
       } else {
         std::string Text;
-        {
-          std::ifstream In(Path, std::ios::binary);
-          std::ostringstream Buf;
-          if (In)
-            Buf << In.rdbuf();
-          if (!In || In.bad())
-            Why = "unreadable";
-          else
-            Text = Buf.str();
-        }
-        if (Why.empty()) {
-          CachedCompilation Decoded;
-          std::string Error;
-          if (!decodeCacheEntry(Text, Key, Decoded, Error))
-            Why = Error;
-        }
+        CachedCompilation Decoded;
+        std::string Error;
+        if (!readFile(Path, Text))
+          Why = "unreadable";
+        else if (!decodeCacheEntry(Text, Key, Decoded, Error))
+          Why = Error;
       }
       if (Why.empty()) {
         ++Report.Kept;

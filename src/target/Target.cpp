@@ -4,18 +4,15 @@
 
 #include "obs/Metrics.h"
 #include "pipeline/Pipeline.h"
+#include "support/TextFile.h"
 #include "target/CpuSimdTarget.h"
 #include "target/GpuAnalyticTarget.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::target;
@@ -118,24 +115,80 @@ std::shared_ptr<TargetModel> reject(std::string *Err,
   return nullptr;
 }
 
-bool failSave(std::string *Err, const std::string &Msg) {
-  if (Err)
-    *Err = Msg;
-  return false;
-}
+/// The strict parser behind parseTarget: builds the target into \p T.
+/// \returns the empty string on success, else why the whole file is
+/// rejected.
+std::string parseTargetText(const std::string &Text,
+                            std::shared_ptr<TargetModel> &T) {
+  std::istringstream In(Text);
+  std::string Line;
 
-std::string sanitizeToken(const std::string &S) {
-  std::string Out = S.empty() ? "_" : S;
-  for (char &C : Out)
-    if (std::isspace(static_cast<unsigned char>(C)))
-      C = '_';
-  return Out;
-}
+  if (!std::getline(In, Line) || Line != FileHeader)
+    return "not a polyinject target file (bad header)";
 
-bool parseDoubleTok(const std::string &Tok, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End != Tok.c_str() && *End == '\0' && std::isfinite(Out);
+  auto TokLine = [&](const char *Tag, std::string &Dst) {
+    if (!std::getline(In, Line))
+      return false;
+    std::istringstream F(Line);
+    std::string T, Extra;
+    if (!(F >> T >> Dst) || T != Tag || (F >> Extra))
+      return false;
+    return true;
+  };
+
+  std::string Kind;
+  if (!TokLine("kind", Kind))
+    return "malformed kind line";
+  T = makeTargetOfKind(Kind);
+  if (!T)
+    return "unknown target kind '" + Kind + "'";
+
+  std::string Name;
+  if (!TokLine("name", Name))
+    return "malformed name line";
+  T->rename(Name);
+
+  std::size_t Count = 0;
+  if (!std::getline(In, Line))
+    return "truncated target file (no params line)";
+  {
+    std::istringstream F(Line);
+    std::string Tag;
+    if (!(F >> Tag >> Count) || Tag != "params")
+      return "malformed params line";
+  }
+  std::size_t Expected = T->params().size();
+  if (Count != Expected)
+    return "stale target file: " + Kind + " has " +
+           std::to_string(Expected) + " parameters, file lists " +
+           std::to_string(Count);
+
+  std::vector<std::string> Seen;
+  bool SawEnd = false;
+  while (std::getline(In, Line)) {
+    if (Line == "end") {
+      SawEnd = true;
+      break;
+    }
+    std::istringstream F(Line);
+    std::string Tag, PName, VTok, Extra;
+    double V;
+    if (!(F >> Tag >> PName >> VTok) || Tag != "param" || (F >> Extra) ||
+        !parseFiniteDouble(VTok, V))
+      return "malformed param line: " + Line;
+    if (std::find(Seen.begin(), Seen.end(), PName) != Seen.end())
+      return "duplicate parameter '" + PName + "'";
+    if (!T->setParam(PName, V))
+      return "unknown or out-of-range parameter '" + PName + "' = " + VTok;
+    Seen.push_back(PName);
+  }
+  if (!SawEnd)
+    return "truncated target file (no end marker)";
+  if (Seen.size() != Count)
+    return "parameter count mismatch (params line says " +
+           std::to_string(Count) + ", file has " +
+           std::to_string(Seen.size()) + ")";
+  return "";
 }
 
 } // namespace
@@ -158,112 +211,22 @@ std::string target::serializeTarget(const TargetModel &T) {
 
 std::shared_ptr<TargetModel> target::parseTarget(const std::string &Text,
                                                  std::string *Err) {
-  std::istringstream In(Text);
-  std::string Line;
-
-  if (!std::getline(In, Line) || Line != FileHeader)
-    return reject(Err, "not a polyinject target file (bad header)");
-
-  auto TokLine = [&](const char *Tag, std::string &Dst) {
-    if (!std::getline(In, Line))
-      return false;
-    std::istringstream F(Line);
-    std::string T, Extra;
-    if (!(F >> T >> Dst) || T != Tag || (F >> Extra))
-      return false;
-    return true;
-  };
-
-  std::string Kind;
-  if (!TokLine("kind", Kind))
-    return reject(Err, "malformed kind line");
-  std::shared_ptr<TargetModel> T = makeTargetOfKind(Kind);
-  if (!T)
-    return reject(Err, "unknown target kind '" + Kind + "'");
-
-  std::string Name;
-  if (!TokLine("name", Name))
-    return reject(Err, "malformed name line");
-  T->rename(Name);
-
-  std::size_t Count = 0;
-  if (!std::getline(In, Line))
-    return reject(Err, "truncated target file (no params line)");
-  {
-    std::istringstream F(Line);
-    std::string Tag;
-    if (!(F >> Tag >> Count) || Tag != "params")
-      return reject(Err, "malformed params line");
-  }
-  std::size_t Expected = T->params().size();
-  if (Count != Expected)
-    return reject(Err, "stale target file: " + Kind + " has " +
-                           std::to_string(Expected) + " parameters, file "
-                           "lists " + std::to_string(Count));
-
-  std::vector<std::string> Seen;
-  bool SawEnd = false;
-  while (std::getline(In, Line)) {
-    if (Line == "end") {
-      SawEnd = true;
-      break;
-    }
-    std::istringstream F(Line);
-    std::string Tag, PName, VTok, Extra;
-    double V;
-    if (!(F >> Tag >> PName >> VTok) || Tag != "param" || (F >> Extra) ||
-        !parseDoubleTok(VTok, V))
-      return reject(Err, "malformed param line: " + Line);
-    if (std::find(Seen.begin(), Seen.end(), PName) != Seen.end())
-      return reject(Err, "duplicate parameter '" + PName + "'");
-    if (!T->setParam(PName, V))
-      return reject(Err, "unknown or out-of-range parameter '" + PName +
-                             "' = " + VTok);
-    Seen.push_back(PName);
-  }
-  if (!SawEnd)
-    return reject(Err, "truncated target file (no end marker)");
-  if (Seen.size() != Count)
-    return reject(Err, "parameter count mismatch (params line says " +
-                           std::to_string(Count) + ", file has " +
-                           std::to_string(Seen.size()) + ")");
-  return T;
+  std::shared_ptr<TargetModel> T;
+  std::string Why = parseTargetText(Text, T);
+  return Why.empty() ? T : reject(Err, Why);
 }
 
 bool target::saveTargetFile(const TargetModel &T, const std::string &Path,
                             std::string *Err) {
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out)
-      return failSave(Err, "cannot open " + Tmp + " for writing");
-    Out << serializeTarget(T);
-    Out.close();
-    if (!Out) {
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return failSave(Err, "write to " + Tmp + " failed");
-    }
-  }
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
-    fs::remove(Tmp, Ec);
-    return failSave(Err, "rename to " + Path + " failed: " + Ec.message());
-  }
-  return true;
+  return writeFileAtomic(Path, serializeTarget(T), Err);
 }
 
 std::shared_ptr<TargetModel> target::loadTargetFile(const std::string &Path,
                                                     std::string *Err) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
+  std::string Text;
+  if (!readFile(Path, Text))
     return reject(Err, "cannot open target file " + Path);
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  std::shared_ptr<TargetModel> T = parseTarget(Text.str(), Err);
+  std::shared_ptr<TargetModel> T = parseTarget(Text, Err);
   if (T && T->name() == "_")
     T->rename(fs::path(Path).stem().string());
   return T;

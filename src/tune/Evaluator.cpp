@@ -6,13 +6,12 @@
 #include "codegen/Vectorizer.h"
 #include "lp/Budget.h"
 #include "obs/Metrics.h"
+#include "support/Parallel.h"
 #include "support/Status.h"
 #include "target/Target.h"
 
-#include <atomic>
 #include <cstring>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 
 using namespace pinj;
@@ -328,28 +327,8 @@ std::vector<double> Evaluator::evaluate(const std::vector<Candidate> &Batch) {
   // locking is needed and results are independent of the worker count.
   std::vector<double> Scores(Fresh.size(), failedScore());
   if (!Fresh.empty()) {
-    unsigned Workers = static_cast<unsigned>(
-        std::min<std::size_t>(Cfg.Jobs, Fresh.size()));
-    if (Workers <= 1) {
-      for (std::size_t I = 0; I < Fresh.size(); ++I)
-        Scores[I] = scoreOne(Fresh[I]);
-    } else {
-      std::atomic<std::size_t> Next{0};
-      auto Work = [&] {
-        for (;;) {
-          std::size_t I = Next.fetch_add(1, std::memory_order_relaxed);
-          if (I >= Fresh.size())
-            return;
-          Scores[I] = scoreOne(Fresh[I]);
-        }
-      };
-      std::vector<std::thread> Pool;
-      Pool.reserve(Workers);
-      for (unsigned W = 0; W < Workers; ++W)
-        Pool.emplace_back(Work);
-      for (std::thread &T : Pool)
-        T.join();
-    }
+    parallelFor(Fresh.size(), Cfg.Jobs,
+                [&](std::size_t I) { Scores[I] = scoreOne(Fresh[I]); });
     for (std::size_t I = 0; I < Fresh.size(); ++I) {
       Memo.emplace(Fresh[I], Scores[I]);
       if (Scores[I] == failedScore())

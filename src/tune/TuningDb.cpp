@@ -3,17 +3,14 @@
 #include "tune/TuningDb.h"
 
 #include "obs/Metrics.h"
+#include "support/TextFile.h"
 
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace pinj;
 using namespace pinj::tune;
-
-namespace fs = std::filesystem;
 
 namespace {
 
@@ -33,38 +30,6 @@ constexpr const char *FileHeader = "polyinject-tunedb v1";
 obs::Counter &rejectCounter() {
   static obs::Counter &C = obs::metrics().counter("tune.db_rejects");
   return C;
-}
-
-bool parseHex64(const std::string &S, std::size_t At, std::uint64_t &Out) {
-  if (At + 16 > S.size())
-    return false;
-  Out = 0;
-  for (std::size_t I = 0; I < 16; ++I) {
-    char C = S[At + I];
-    unsigned Nibble;
-    if (C >= '0' && C <= '9')
-      Nibble = unsigned(C - '0');
-    else if (C >= 'a' && C <= 'f')
-      Nibble = unsigned(C - 'a') + 10;
-    else
-      return false;
-    Out = (Out << 4) | Nibble;
-  }
-  return true;
-}
-
-bool parseFingerprint(const std::string &Hex, service::Fingerprint &Out) {
-  return Hex.size() == 32 && parseHex64(Hex, 0, Out.Hi) &&
-         parseHex64(Hex, 16, Out.Lo);
-}
-
-bool validHex32(const std::string &S) {
-  if (S.size() != 32)
-    return false;
-  for (char C : S)
-    if (!((C >= '0' && C <= '9') || (C >= 'a' && C <= 'f')))
-      return false;
-  return true;
 }
 
 } // namespace
@@ -106,7 +71,7 @@ void TuningDb::loadLocked() {
     service::Fingerprint Key;
     DbEntry E;
     if (Ok)
-      Ok = parseFingerprint(KeyHex, Key) && validHex32(Sig);
+      Ok = service::Fingerprint::fromHex(KeyHex, Key) && isLowerHex32(Sig);
     if (Ok) {
       try {
         std::size_t Used = 0;
@@ -147,40 +112,18 @@ void TuningDb::saveLocked() {
   static obs::Counter &WriteErrors =
       obs::metrics().counter("tune.db_write_errors");
 
-  std::ostringstream TmpName;
-  TmpName << Path << ".tmp." << std::this_thread::get_id();
-  std::string Tmp = TmpName.str();
-  {
-    std::ofstream Out(Tmp, std::ios::binary | std::ios::trunc);
-    if (!Out) {
-      WriteErrors.inc();
-      return;
-    }
-    Out << FileHeader << '\n';
-    for (const auto &[Key, E] : Entries) {
-      char Time[64];
-      std::snprintf(Time, sizeof(Time), "%.17g", E.PredictedTimeUs);
-      Out << "entry " << Key.str() << ' ' << E.SpaceSignature << ' '
-          << E.Strategy << ' ' << Time << ' ' << E.Encoding.size() << '\n'
-          << E.Encoding << '\n';
-    }
-    Out << "end\n";
-    Out.close();
-    if (!Out) {
-      WriteErrors.inc();
-      std::error_code Ec;
-      fs::remove(Tmp, Ec);
-      return;
-    }
+  std::ostringstream Out;
+  Out << FileHeader << '\n';
+  for (const auto &[Key, E] : Entries) {
+    char Time[64];
+    std::snprintf(Time, sizeof(Time), "%.17g", E.PredictedTimeUs);
+    Out << "entry " << Key.str() << ' ' << E.SpaceSignature << ' '
+        << E.Strategy << ' ' << Time << ' ' << E.Encoding.size() << '\n'
+        << E.Encoding << '\n';
   }
-  // Write-then-rename so readers only ever see complete files (the
-  // rename is atomic within a directory).
-  std::error_code Ec;
-  fs::rename(Tmp, Path, Ec);
-  if (Ec) {
+  Out << "end\n";
+  if (!writeFileAtomic(Path, Out.str(), nullptr))
     WriteErrors.inc();
-    fs::remove(Tmp, Ec);
-  }
 }
 
 bool TuningDb::lookup(const service::Fingerprint &Key, DbEntry &Out) {

@@ -53,12 +53,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/Parser.h"
+#include "support/TextFile.h"
 #include "target/Calibrate.h"
 #include "target/Target.h"
 #include "tune/Evaluator.h"
 #include "tune/SearchSpace.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -88,15 +88,13 @@ void printUsage(const char *Argv0) {
 }
 
 Kernel loadKernelOrDie(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Buffer.str(), Error);
+  std::optional<Kernel> K = parseKernel(Text, Error);
   if (!K) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
@@ -160,12 +158,6 @@ struct Table {
   std::vector<TableRow> Rows;
 };
 
-bool parseDoubleTok(const std::string &Tok, double &Out) {
-  char *End = nullptr;
-  Out = std::strtod(Tok.c_str(), &End);
-  return End != Tok.c_str() && *End == '\0' && std::isfinite(Out);
-}
-
 std::string serializeTable(const Table &T) {
   std::ostringstream Out;
   char Buf[64];
@@ -223,7 +215,7 @@ bool parseTable(const std::string &Text, Table &Out, std::string &Err) {
     std::string Tag, TimeTok, Extra;
     TableRow R;
     if (!(F >> Tag >> R.Path >> R.Encoding >> TimeTok) || Tag != "row" ||
-        (F >> Extra) || !parseDoubleTok(TimeTok, R.TimeUs)) {
+        (F >> Extra) || !parseFiniteDouble(TimeTok, R.TimeUs)) {
       Err = "malformed row line: " + Line;
       return false;
     }
@@ -335,11 +327,10 @@ int emitTable(const std::string &TargetSpec,
   if (OutPath.empty()) {
     std::fputs(Text.c_str(), stdout);
   } else {
-    std::ofstream Out(OutPath, std::ios::binary | std::ios::trunc);
-    Out << Text;
-    Out.close();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write %s\n", OutPath.c_str());
+    std::string Err;
+    if (!writeFileAtomic(OutPath, Text, &Err)) {
+      std::fprintf(stderr, "error: cannot write %s: %s\n", OutPath.c_str(),
+                   Err.c_str());
       return 1;
     }
     std::printf("table    %s (%zu rows, %zu kernels, target %s)\n",
@@ -354,16 +345,14 @@ int fitFromTable(const std::string &TablePath, const std::string &Kind,
                  const std::string &InitSpec, double InitScale,
                  const std::string &FitList, unsigned Sweeps,
                  const std::string &RefSpec, double CheckTol) {
-  std::ifstream In(TablePath, std::ios::binary);
-  if (!In) {
+  std::string Text;
+  if (!readFile(TablePath, Text)) {
     std::fprintf(stderr, "error: cannot open table %s\n", TablePath.c_str());
     return 1;
   }
-  std::ostringstream Text;
-  Text << In.rdbuf();
   Table Tbl;
   std::string Err;
-  if (!parseTable(Text.str(), Tbl, Err)) {
+  if (!parseTable(Text, Tbl, Err)) {
     std::fprintf(stderr, "error: %s: %s\n", TablePath.c_str(), Err.c_str());
     return 1;
   }

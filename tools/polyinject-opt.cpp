@@ -92,6 +92,7 @@
 #include "service/BatchCompiler.h"
 #include "service/Cache.h"
 #include "support/Status.h"
+#include "support/TextFile.h"
 #include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/Autotuner.h"
@@ -167,15 +168,13 @@ void printConfig(const Kernel &K, const char *Name, const ConfigResult &R,
 /// Reads one kernel file; exits the process with a diagnostic on
 /// failure (both modes treat an unreadable/unparsable input as fatal).
 Kernel loadKernel(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Buffer.str(), Error);
+  std::optional<Kernel> K = parseKernel(Text, Error);
   if (!K) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
@@ -216,17 +215,6 @@ std::vector<std::string> readOpsFile(const std::string &ListPath) {
   return Paths;
 }
 
-/// Writes the current process metrics in the exposition format to
-/// \p Path. \returns false on I/O failure.
-bool writeExpositionFile(const std::string &Path) {
-  std::ofstream Out(Path);
-  if (!Out)
-    return false;
-  Out << obs::metrics().renderExposition();
-  Out.close();
-  return static_cast<bool>(Out);
-}
-
 /// Writes the Chrome trace to \p Path and validates it (parse back,
 /// require a non-empty traceEvents array) so CTest can rely on the exit
 /// code. \returns false on I/O failure or an invalid file.
@@ -262,12 +250,14 @@ public:
   ObsFinalizer(obs::ExpositionWriter &Writer, std::string ExpositionPath)
       : Writer(Writer), ExpositionPath(std::move(ExpositionPath)) {}
   ~ObsFinalizer() {
+    std::string Error;
     if (Writer.running())
       Writer.stop();
     else if (!ExpositionPath.empty() &&
-             !writeExpositionFile(ExpositionPath))
-      std::fprintf(stderr, "error: cannot write %s\n",
-                   ExpositionPath.c_str());
+             !writeFileAtomic(ExpositionPath,
+                              obs::metrics().renderExposition(), &Error))
+      std::fprintf(stderr, "error: cannot write %s: %s\n",
+                   ExpositionPath.c_str(), Error.c_str());
     obs::Journal::get().closeFile();
   }
 

@@ -55,6 +55,7 @@
 #include "ir/Parser.h"
 #include "model/Dataset.h"
 #include "model/GbStumps.h"
+#include "support/TextFile.h"
 #include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/SearchSpace.h"
@@ -88,15 +89,13 @@ void printUsage(const char *Argv0) {
 }
 
 Kernel loadKernelOrDie(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
     std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
     std::exit(1);
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Buffer.str(), Error);
+  std::optional<Kernel> K = parseKernel(Text, Error);
   if (!K) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
     std::exit(1);
