@@ -42,15 +42,16 @@ Kernel extractStatement(const Kernel &K, unsigned Stmt);
 /// order with the write-contiguous iterator rotated innermost.
 Schedule buildTvmSchedule(const Kernel &SubKernel);
 
-/// Simulates \p K under the TVM proxy (one launch per statement).
+/// Simulates \p K under the TVM proxy on the GPU-analytic target over
+/// \p Model (one launch per statement).
 TvmProxyResult simulateTvmProxy(const Kernel &K, const GpuModel &Model,
                                 const GpuMappingOptions &Mapping);
 
-/// The target-backend form. A GPU-analytic target delegates to the
-/// GpuModel overload above (bit-identical, including the shared-memory
-/// tile rewrite for uncoalesced transposes); any other backend scores
-/// the per-statement launches directly — the tile rewrite is a CUDA
-/// shared-memory idiom and does not transfer.
+/// The target-backend form: each per-statement launch is scored by
+/// \p T. On a GPU-analytic target, statements whose reads cannot
+/// coalesce get the shared-memory tile rewrite; other backends score the
+/// launches as they are — the rewrite is a CUDA shared-memory idiom and
+/// does not transfer.
 TvmProxyResult simulateTvmProxy(const Kernel &K,
                                 const target::TargetModel &T,
                                 const GpuMappingOptions &Mapping);

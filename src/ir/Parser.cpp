@@ -3,8 +3,11 @@
 #include "ir/Parser.h"
 
 #include "ir/Builder.h"
+#include "support/TextFile.h"
 
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -249,4 +252,48 @@ std::optional<Kernel> pinj::parseKernel(const std::string &Text,
     Error = E.status().message();
     return std::nullopt;
   }
+}
+
+std::optional<Kernel> pinj::loadKernelFile(const std::string &Path,
+                                           std::string &Error) {
+  std::string Text;
+  if (!readFile(Path, Text)) {
+    Error = "error: cannot open " + Path;
+    return std::nullopt;
+  }
+  std::optional<Kernel> K = parseKernel(Text, Error);
+  if (!K) {
+    Error = Path + ": " + Error;
+    return std::nullopt;
+  }
+  std::string Diag = K->verify();
+  if (!Diag.empty()) {
+    Error = Path + ": malformed kernel: " + Diag;
+    return std::nullopt;
+  }
+  return K;
+}
+
+bool pinj::readOpsFile(const std::string &ListPath,
+                       std::vector<std::string> &Paths, std::string &Error) {
+  std::ifstream In(ListPath);
+  if (!In) {
+    Error = "error: cannot open " + ListPath;
+    return false;
+  }
+  std::filesystem::path Base = std::filesystem::path(ListPath).parent_path();
+  std::string Line;
+  while (std::getline(In, Line)) {
+    std::size_t Hash = Line.find('#');
+    if (Hash != std::string::npos)
+      Line = Line.substr(0, Hash);
+    std::size_t First = Line.find_first_not_of(" \t\r");
+    if (First == std::string::npos)
+      continue;
+    std::size_t Last = Line.find_last_not_of(" \t\r");
+    std::string Entry = Line.substr(First, Last - First + 1);
+    std::filesystem::path P(Entry);
+    Paths.push_back(P.is_absolute() ? P.string() : (Base / P).string());
+  }
+  return true;
 }

@@ -33,6 +33,7 @@
 
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace pinj {
 
@@ -40,6 +41,20 @@ namespace pinj {
 /// "line N: message" diagnostic.
 std::optional<Kernel> parseKernel(const std::string &Text,
                                   std::string &Error);
+
+/// Reads, parses and verifies the kernel file \p Path; on failure
+/// \returns nullopt and fills \p Error with the whole diagnostic line
+/// ("error: cannot open PATH", "PATH: line N: ...", "PATH: malformed
+/// kernel: ...").
+std::optional<Kernel> loadKernelFile(const std::string &Path,
+                                     std::string &Error);
+
+/// Appends the kernel paths of an ops list file to \p Paths: one path
+/// per line, '#' comments, relative paths resolved against the list
+/// file's directory. On failure \returns false and fills \p Error as
+/// loadKernelFile does.
+bool readOpsFile(const std::string &ListPath, std::vector<std::string> &Paths,
+                 std::string &Error);
 
 /// Parses an op kind mnemonic ("add", "fma", ...); nullopt if unknown.
 std::optional<OpKind> parseOpKind(const std::string &Name);

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// Scores tuning candidates by the simulated infl-configuration kernel
-/// time. Each evaluation replays the pipeline's own decisions as three
-/// stages — dependences, the schedule (the influenced scheduler, its
-/// isl fallback and vector finalization) and the score (GPU mapping and
-/// simulation) — under a per-candidate solver budget so one
-/// pathological candidate cannot stall the search.
+/// time. Each evaluation runs the pipeline's own stages (pipeline/
+/// Pipeline.h), grouped in three — dependences, the schedule (the
+/// influenced scheduler, its reference fallback and vector
+/// finalization) and the score (GPU mapping and simulation) — under a
+/// per-candidate solver budget so one pathological candidate cannot
+/// stall the search.
 ///
 /// An Evaluator memoizes each stage on its content for the life of one
 /// search: the kernel's dependences are computed once per
@@ -113,13 +114,14 @@ private:
 };
 
 /// The scoring primitive: the simulated kernel time of \p K's infl
-/// configuration under \p O, mirroring runOperator exactly — influenced
-/// scheduling, fallback to serialized-SCC isl scheduling when that
-/// fails or is not simulatable, vector-mark finalization, GPU mapping,
-/// warp simulation. \returns failedScore() when no simulatable schedule
-/// results or any solver budget tripped (a tripped run's schedule is
-/// not what the un-tripped pipeline would produce). The Evaluator's
-/// stages without the memo.
+/// configuration under \p O, through the pipeline's stages —
+/// influenced scheduling, the reference schedule when that is not
+/// usable, vector finalization, mapping and simulation. Equals
+/// runOperator(K, O).Infl.TimeUs whenever that run does not degrade.
+/// \returns failedScore() when no simulatable schedule results, a stage
+/// fails, or any solver budget tripped (a tripped run's schedule is not
+/// what the un-tripped pipeline would produce). The Evaluator's stages
+/// without the memo.
 double predictInflTimeUs(const Kernel &K, const PipelineOptions &O);
 
 /// The scheduling-and-mapping front half of predictInflTimeUs: produces

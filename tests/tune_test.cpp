@@ -414,6 +414,43 @@ TEST(StageMemo, MatchesFreshScoringOnEveryKernelAndBudget) {
   }
 }
 
+// The evaluator and runOperator make the infl decision through the same
+// pipeline stages, so wherever the pipeline run does not degrade the
+// predicted score is its infl time bit for bit, and the mapped kernel
+// the calibrator re-scores is the one polyinject-opt prints.
+TEST(StageMemo, PredictionAgreesWithRunOperator) {
+  SearchSpace Tiny = tinySearchSpace();
+  SearchSpace Full = defaultSearchSpace();
+  std::vector<std::pair<const SearchSpace *, Candidate>> Cands;
+  for (const Candidate &C : sampleSpace(Tiny, 1))
+    Cands.emplace_back(&Tiny, C);
+  for (const Candidate &C : sampleSpace(Full, 41))
+    Cands.emplace_back(&Full, C);
+
+  std::size_t Compared = 0;
+  for (const Kernel &K : allTestKernels()) {
+    for (const auto &[Space, C] : Cands) {
+      PipelineOptions O;
+      Space->apply(C, O);
+      OperatorReport R = runOperator(K, O);
+      if (R.degraded())
+        continue;
+      std::string What = K.Name + " " + Space->encode(C);
+      double Predicted = predictInflTimeUs(K, O);
+      EXPECT_EQ(std::memcmp(&Predicted, &R.Infl.TimeUs, sizeof(double)), 0)
+          << What << ": predicted " << Predicted << " ran "
+          << R.Infl.TimeUs;
+      MappedKernel M;
+      ASSERT_TRUE(buildInflMappedKernel(K, O, M)) << What;
+      EXPECT_EQ(printCuda(M), renderCuda(K, R.Infl.Sched, O.Mapping))
+          << What;
+      ++Compared;
+    }
+  }
+  // Nearly every candidate compiles cleanly; the check must bite.
+  EXPECT_GT(Compared, Cands.size() * allTestKernels().size() / 2);
+}
+
 TEST(StageMemo, MatchesFreshScoringUnderSchedulerFailPoints) {
   Kernel K = makeRunningExample(8);
   SearchSpace Space = defaultSearchSpace();

@@ -101,7 +101,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -165,54 +164,15 @@ void printConfig(const Kernel &K, const char *Name, const ConfigResult &R,
   std::printf("\n");
 }
 
-/// Reads one kernel file; exits the process with a diagnostic on
-/// failure (both modes treat an unreadable/unparsable input as fatal).
+/// loadKernelFile; an unreadable or unparsable kernel is fatal.
 Kernel loadKernel(const std::string &Path) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-    std::exit(1);
-  }
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Text, Error);
+  std::optional<Kernel> K = loadKernelFile(Path, Error);
   if (!K) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
-    std::exit(1);
-  }
-  std::string Diag = K->verify();
-  if (!Diag.empty()) {
-    std::fprintf(stderr, "%s: malformed kernel: %s\n", Path.c_str(),
-                 Diag.c_str());
+    std::fprintf(stderr, "%s\n", Error.c_str());
     std::exit(1);
   }
   return std::move(*K);
-}
-
-/// Expands an --ops-file list: one path per line, '#' comments,
-/// relative paths resolved against the list file's directory.
-std::vector<std::string> readOpsFile(const std::string &ListPath) {
-  std::ifstream In(ListPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", ListPath.c_str());
-    std::exit(1);
-  }
-  std::filesystem::path Base =
-      std::filesystem::path(ListPath).parent_path();
-  std::vector<std::string> Paths;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line = Line.substr(0, Hash);
-    size_t First = Line.find_first_not_of(" \t\r");
-    if (First == std::string::npos)
-      continue;
-    size_t Last = Line.find_last_not_of(" \t\r");
-    std::string Entry = Line.substr(First, Last - First + 1);
-    std::filesystem::path P(Entry);
-    Paths.push_back(P.is_absolute() ? P.string() : (Base / P).string());
-  }
-  return Paths;
 }
 
 /// Writes the Chrome trace to \p Path and validates it (parse back,
@@ -503,9 +463,11 @@ int main(int Argc, char **Argv) {
       Paths.push_back(Arg);
     }
   }
-  if (!OpsFilePath.empty())
-    for (std::string &P : readOpsFile(OpsFilePath))
-      Paths.push_back(std::move(P));
+  std::string OpsError;
+  if (!OpsFilePath.empty() && !readOpsFile(OpsFilePath, Paths, OpsError)) {
+    std::fprintf(stderr, "%s\n", OpsError.c_str());
+    return 1;
+  }
   if (Paths.empty()) {
     printUsage(Argv[0]);
     return 2;

@@ -55,7 +55,6 @@
 #include "ir/Parser.h"
 #include "model/Dataset.h"
 #include "model/GbStumps.h"
-#include "support/TextFile.h"
 #include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/SearchSpace.h"
@@ -65,8 +64,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <numeric>
 #include <optional>
 #include <sstream>
@@ -88,49 +85,15 @@ void printUsage(const char *Argv0) {
       Argv0);
 }
 
+/// loadKernelFile; an unreadable or unparsable kernel is fatal.
 Kernel loadKernelOrDie(const std::string &Path) {
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "error: cannot open %s\n", Path.c_str());
-    std::exit(1);
-  }
   std::string Error;
-  std::optional<Kernel> K = parseKernel(Text, Error);
+  std::optional<Kernel> K = loadKernelFile(Path, Error);
   if (!K) {
-    std::fprintf(stderr, "%s: %s\n", Path.c_str(), Error.c_str());
-    std::exit(1);
-  }
-  std::string Diag = K->verify();
-  if (!Diag.empty()) {
-    std::fprintf(stderr, "%s: malformed kernel: %s\n", Path.c_str(),
-                 Diag.c_str());
+    std::fprintf(stderr, "%s\n", Error.c_str());
     std::exit(1);
   }
   return std::move(*K);
-}
-
-std::vector<std::string> readOpsFile(const std::string &ListPath) {
-  std::ifstream In(ListPath);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open %s\n", ListPath.c_str());
-    std::exit(1);
-  }
-  std::filesystem::path Base = std::filesystem::path(ListPath).parent_path();
-  std::vector<std::string> Paths;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    std::size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line = Line.substr(0, Hash);
-    std::size_t First = Line.find_first_not_of(" \t\r");
-    if (First == std::string::npos)
-      continue;
-    std::size_t Last = Line.find_last_not_of(" \t\r");
-    std::string Entry = Line.substr(First, Last - First + 1);
-    std::filesystem::path P(Entry);
-    Paths.push_back(P.is_absolute() ? P.string() : (Base / P).string());
-  }
-  return Paths;
 }
 
 /// Average ranks (1-based, ties averaged) of \p V.
@@ -230,9 +193,11 @@ int main(int Argc, char **Argv) {
       Paths.push_back(Arg);
     }
   }
-  if (!OpsFilePath.empty())
-    for (std::string &P : readOpsFile(OpsFilePath))
-      Paths.push_back(std::move(P));
+  std::string OpsError;
+  if (!OpsFilePath.empty() && !readOpsFile(OpsFilePath, Paths, OpsError)) {
+    std::fprintf(stderr, "%s\n", OpsError.c_str());
+    return 1;
+  }
 
   tune::SearchSpace Space = tune::searchSpaceByName(SpaceName);
   if (Space.empty()) {
