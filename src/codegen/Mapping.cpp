@@ -102,8 +102,8 @@ MappedKernel pinj::mapToGpu(const Kernel &K, const Schedule &S,
     Int Extent = 1;
     for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
       RowShape Shape = analyzeRow(K, S, Stmt, D);
-      // Reachable when a caller skips the backendAccepts check, so this
-      // must hold in release builds too.
+      // Reachable when a caller skips the isSimulatableSchedule check, so
+      // this must hold in release builds too.
       if (Shape.Kind == RowShape::Other)
         raiseError(StatusCode::Internal, "codegen.map",
                    "schedule row not generatable by this backend");

@@ -190,21 +190,24 @@ pinj::computeDependences(const Kernel &K, const DependenceOptions &Options) {
 }
 
 const std::vector<DependenceRelation> *
-DependenceMemo::get(const DependenceOptions &Options) const {
+DependenceMemo::get(const DependenceOptions &Options,
+                    std::vector<DependenceRelation> *Own) const {
   static_assert(sizeof(DependenceOptions) == sizeof(bool),
                 "DependenceMemo keys on IncludeInput alone");
   Entry &E = Entries[Options.IncludeInput ? 1 : 0];
-  std::call_once(E.Once, [&] {
-    budget::WorkMeter Meter(budget::WorkMeter::Detached);
-    try {
-      E.Relations = computeDependences(K, Options);
-      E.Ok = true;
-    } catch (const RecoverableError &) {
-    }
-    E.Work = Meter.work();
-  });
-  if (!E.Ok || !budget::chargeWork(E.Work))
-    return nullptr;
+  std::lock_guard<std::mutex> Lock(E.Mu);
+  if (E.Stored)
+    return budget::chargeWork(E.Work) ? &E.Relations : nullptr;
+  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  std::vector<DependenceRelation> Relations = computeDependences(K, Options);
+  if (budget::anyTripped()) {
+    if (Own)
+      *Own = std::move(Relations);
+    return Own;
+  }
+  E.Relations = std::move(Relations);
+  E.Work = Meter.work();
+  E.Stored = true;
   return &E.Relations;
 }
 
@@ -213,8 +216,9 @@ pinj::dependencesOf(const Kernel &K, const DependenceOptions &Options,
                     const DependenceMemo *Memo,
                     std::vector<DependenceRelation> &Storage) {
   if (Memo)
-    if (const std::vector<DependenceRelation> *Shared = Memo->get(Options))
-      return *Shared;
+    if (const std::vector<DependenceRelation> *Deps =
+            Memo->get(Options, &Storage))
+      return *Deps;
   Storage = computeDependences(K, Options);
   return Storage;
 }

@@ -66,27 +66,32 @@ computeDependences(const Kernel &K,
 
 /// The relations of one kernel, computed at most once per
 /// DependenceOptions and shared by every consumer that would otherwise
-/// recompute them (the autotuner schedules dozens of candidates of one
-/// kernel). Each computation runs detached from the caller's solver
-/// budgets, so no tripped budget can leave a truncated set behind, and
-/// records the work it took; every consumer charges that work to its
-/// own budgets, which therefore trip exactly where a fresh computation
+/// recompute them (runOperator's scheduler runs and vector
+/// finalizations, the autotuner's candidates). The first computation
+/// runs under its caller's solver budgets, so they trip, deadlines
+/// included, exactly where a fresh computation trips them; relations a
+/// trip shaped are never stored. A stored computation records the work
+/// it took, and every later consumer charges that work to its own
+/// budgets, which therefore trip exactly where a fresh computation
 /// would trip them. Thread-safe; \p K must outlive the memo.
 class DependenceMemo {
 public:
   explicit DependenceMemo(const Kernel &K) : K(K) {}
 
   /// \p K's relations under \p Options, their work charged to the
-  /// active budgets; null when those budgets cannot absorb it or the
-  /// computation failed — the caller then computes the relations
-  /// itself, failing or tripping wherever a fresh computation does.
+  /// active budgets. When a budget trips during (or before) the first
+  /// computation, its relations are moved into \p Own and \p Own is
+  /// returned. \returns null when the budgets cannot absorb the stored
+  /// work: the caller then computes the relations itself, failing or
+  /// tripping wherever a fresh computation does.
   const std::vector<DependenceRelation> *
-  get(const DependenceOptions &Options) const;
+  get(const DependenceOptions &Options,
+      std::vector<DependenceRelation> *Own = nullptr) const;
 
 private:
   struct Entry {
-    std::once_flag Once;
-    bool Ok = false;
+    std::mutex Mu;
+    bool Stored = false;
     std::vector<DependenceRelation> Relations;
     SolverWork Work;
   };
@@ -98,7 +103,8 @@ private:
 
 /// \p K's relations under \p Options: \p Memo's copy when it has one for
 /// the active budgets (see DependenceMemo::get), else computed afresh
-/// into \p Storage. A null \p Memo always computes.
+/// into \p Storage, as is a first computation a trip shaped. A null
+/// \p Memo always computes.
 const std::vector<DependenceRelation> &
 dependencesOf(const Kernel &K, const DependenceOptions &Options,
               const DependenceMemo *Memo,

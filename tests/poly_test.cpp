@@ -241,6 +241,48 @@ TEST(DependenceMemo, SharesOneAnalysisAndChargesItsWork) {
   EXPECT_TRUE(Scope.tripped());
 }
 
+TEST(DependenceMemo, FirstAnalysisRunsUnderTheCallersBudgets) {
+  Kernel K = makeRunningExample(8);
+  SolverWork Fresh;
+  std::size_t FreshCount;
+  {
+    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    FreshCount = computeDependences(K).size();
+    Fresh = Meter.work();
+  }
+  ASSERT_GT(Fresh.Pivots, 1u);
+  SolverBudget Tight{Fresh.Pivots - 1, 0, 0};
+  std::size_t TrippedCount;
+  {
+    budget::BudgetScope Scope(Tight);
+    TrippedCount = computeDependences(K).size();
+    ASSERT_TRUE(Scope.tripped());
+  }
+
+  // The first analysis trips the caller's budget where a fresh one
+  // does, and what the trip shaped goes to the caller alone.
+  DependenceMemo Memo(K);
+  {
+    budget::BudgetScope Scope(Tight);
+    EXPECT_EQ(Memo.get({}), nullptr);
+    EXPECT_TRUE(Scope.tripped());
+  }
+  {
+    budget::BudgetScope Scope(Tight);
+    std::vector<DependenceRelation> Own;
+    EXPECT_EQ(Memo.get({}, &Own), &Own);
+    EXPECT_TRUE(Scope.tripped());
+    EXPECT_EQ(Own.size(), TrippedCount);
+  }
+
+  // Nothing was stored: the next caller analyzes in full.
+  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  const std::vector<DependenceRelation> *Deps = Memo.get({});
+  ASSERT_NE(Deps, nullptr);
+  EXPECT_EQ(Deps->size(), FreshCount);
+  EXPECT_EQ(Meter.work().Pivots, Fresh.Pivots);
+}
+
 TEST(Farkas, ForcesNonNegativityOverBox) {
   // P = { x | 0 <= x <= 3 }. Psi(x) = a*x + b with ILP vars a (int) and
   // b (int). Enforce Psi >= 0 over P and minimize a + b: the optimum is
