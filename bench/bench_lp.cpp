@@ -58,7 +58,7 @@ LexCase makeSchedulingCase(std::string Name, const Kernel &K) {
   for (const DependenceRelation &D : Deps)
     if (D.constrainsValidity() && D.Kind == DepKind::Flow)
       addProximity(Ilp, K, D);
-  addObjectives(Ilp, K, Options);
+  addObjectives(Ilp, K);
 
   LexCase Case;
   Case.Name = std::move(Name);

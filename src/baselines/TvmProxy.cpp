@@ -85,28 +85,17 @@ bool needsSharedMemoryTile(const Kernel &SubKernel, const Schedule &S) {
 /// TVM's shared-memory tiling of a statement whose reads cannot
 /// coalesce: both global sides coalesced (transactions shrink to the
 /// useful bytes), at ~2x the memory instructions for the staging
-/// through shared memory. Rescores \p Sim under \p Model.
-void applySharedMemoryTile(KernelSim &Sim, const GpuModel &Model) {
-  double IdealTx = Sim.UsefulBytes / Model.SectorBytes;
+/// through shared memory. Rewrites the counters of \p Sim and rescores
+/// them with \p T's time model.
+void applySharedMemoryTile(KernelSim &Sim,
+                           const target::GpuAnalyticTarget &T) {
+  double IdealTx = Sim.UsefulBytes / T.model().SectorBytes;
   if (IdealTx >= Sim.Transactions)
     return;
   Sim.Transactions = IdealTx;
   Sim.TransactionBytes = Sim.UsefulBytes;
   Sim.MemInstructions *= 2;
-  double WarpRequests =
-      Sim.MemInstructions / std::max(1.0, double(Model.WarpSize));
-  double BytesPerRequest =
-      WarpRequests > 0 ? Sim.TransactionBytes / WarpRequests : 0.0;
-  double BytesPerLane =
-      Sim.MemInstructions > 0 ? Sim.UsefulBytes / Sim.MemInstructions : 4.0;
-  double Efficiency =
-      Model.bandwidthEfficiency(Sim.Warps, BytesPerRequest, BytesPerLane);
-  Sim.MemTimeUs = Sim.TransactionBytes /
-                  (Model.PeakBandwidthGBs * Efficiency * 1e9) * 1e6;
-  Sim.ComputeTimeUs = (Sim.MemInstructions + Sim.ComputeInstructions) /
-                      (Model.IssueRateGops * 1e9) * 1e6;
-  Sim.TimeUs =
-      Model.LaunchOverheadUs + std::max(Sim.MemTimeUs, Sim.ComputeTimeUs);
+  Sim = T.finishTime(Sim);
 }
 
 } // namespace
@@ -129,7 +118,7 @@ TvmProxyResult pinj::simulateTvmProxy(const Kernel &K,
     MappedKernel M = mapToGpu(Sub, Sched, Mapping);
     KernelSim Sim = T.simulate(M);
     if (Gpu && needsSharedMemoryTile(Sub, Sched))
-      applySharedMemoryTile(Sim, Gpu->model());
+      applySharedMemoryTile(Sim, *Gpu);
     Result.TimeUs += Sim.TimeUs;
     ++Result.Launches;
     Result.Aggregate.Transactions += Sim.Transactions;

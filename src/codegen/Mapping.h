@@ -19,6 +19,8 @@
 
 #include "sched/Schedule.h"
 
+#include <compare>
+
 namespace pinj {
 
 /// Shape of one schedule row for one statement.
@@ -45,6 +47,8 @@ bool isGeneratableSchedule(const Kernel &K, const Schedule &S);
 /// GPU mapping tunables.
 struct GpuMappingOptions {
   Int MaxThreadsPerBlock = 1024;
+
+  auto operator<=>(const GpuMappingOptions &) const = default;
 };
 
 /// The role a scheduling dimension plays on the GPU.

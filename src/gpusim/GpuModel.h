@@ -150,11 +150,6 @@ KernelSim accumulateTransactions(const MappedKernel &M,
 /// compute overlap (max), plus launch overhead.
 KernelSim finishGpuTime(KernelSim Counters, const GpuModel &Model);
 
-/// Simulates one mapped kernel on \p Model. Exactly
-/// finishGpuTime(accumulateTransactions(M, <WarpSize/SectorBytes>), Model)
-/// plus the gpusim trace span and metrics.
-KernelSim simulateKernel(const MappedKernel &M, const GpuModel &Model);
-
 /// Counts the 32-byte sectors touched by a set of per-lane byte accesses
 /// (address, size). Exposed for unit testing the coalescing rules.
 unsigned countSectors(const std::vector<std::pair<Int, unsigned>> &Accesses,

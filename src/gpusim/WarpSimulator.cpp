@@ -4,8 +4,6 @@
 
 #include "influence/AccessAnalysis.h"
 #include "obs/Metrics.h"
-#include "support/FailPoint.h"
-#include "obs/Trace.h"
 
 #include <algorithm>
 #include <cmath>
@@ -309,29 +307,5 @@ KernelSim pinj::finishGpuTime(KernelSim Sim, const GpuModel &Model) {
       (Model.IssueRateGops * 1e9) * 1e6;
   Sim.TimeUs =
       Model.LaunchOverheadUs + std::max(Sim.MemTimeUs, Sim.ComputeTimeUs);
-  return Sim;
-}
-
-KernelSim pinj::simulateKernel(const MappedKernel &M, const GpuModel &Model) {
-  obs::Span Sp("gpusim.simulate");
-  failpoint::hit("gpusim.simulate");
-  SectorTransactionModel Tx(Model.WarpSize, Model.SectorBytes);
-  KernelSim Sim = finishGpuTime(accumulateTransactions(M, Tx), Model);
-
-  static obs::Counter &Kernels =
-      obs::metrics().counter("gpusim.kernels_simulated");
-  static obs::Counter &Transactions =
-      obs::metrics().counter("gpusim.transactions");
-  static obs::Histogram &TxPerKernel =
-      obs::metrics().histogram("gpusim.transactions_per_kernel");
-  Kernels.inc();
-  Transactions.add(
-      static_cast<std::uint64_t>(std::llround(std::max(0.0, Sim.Transactions))));
-  TxPerKernel.observe(Sim.Transactions);
-  if (Sp.active())
-    Sp.arg("kernel", M.K->Name)
-        .arg("transactions", Sim.Transactions)
-        .arg("warps", Sim.Warps)
-        .arg("time_us", Sim.TimeUs);
   return Sim;
 }

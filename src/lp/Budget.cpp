@@ -69,13 +69,13 @@ BudgetScope::~BudgetScope() {
 
 bool BudgetScope::tripped() const { return S && S->Tripped; }
 
-WorkMeter::WorkMeter(ModeTy Mode) : S(new BudgetState()), Saved(Top) {
-  S->Parent = Mode == Nested ? Top : nullptr;
+WorkMeter::WorkMeter() : S(new BudgetState()) {
+  S->Parent = Top;
   Top = S;
 }
 
 WorkMeter::~WorkMeter() {
-  Top = Saved;
+  Top = S->Parent;
   delete S;
 }
 

@@ -37,6 +37,8 @@ struct SolverBudget {
   bool unlimited() const {
     return MaxPivots == 0 && MaxIlpNodes == 0 && WallMs <= 0;
   }
+
+  bool operator==(const SolverBudget &) const = default;
 };
 
 /// Solver work in the units budgets charge.
@@ -67,15 +69,13 @@ private:
 };
 
 /// Measures the solver work charged on this thread while it lives, and
-/// never trips. A Nested meter passes every charge on to the enclosing
-/// scopes; a Detached meter hides them, so the work inside neither
-/// charges nor trips any of them. Memoizing callers compute a result
-/// under a meter and replay its work() with chargeWork() wherever they
-/// serve the result instead of recomputing it.
+/// never trips; every charge still passes on to the enclosing scopes.
+/// Memoizing callers compute a result under a meter and replay its
+/// work() with chargeWork() wherever they serve the result instead of
+/// recomputing it.
 class WorkMeter {
 public:
-  enum ModeTy { Nested, Detached };
-  explicit WorkMeter(ModeTy Mode);
+  WorkMeter();
   ~WorkMeter();
 
   WorkMeter(const WorkMeter &) = delete;
@@ -85,7 +85,6 @@ public:
 
 private:
   BudgetState *S = nullptr;
-  BudgetState *Saved = nullptr;
 };
 
 /// Charges \p W to every active scope at once, exactly as redoing that

@@ -91,7 +91,6 @@ std::size_t pinj::model::appendSamples(Dataset &D, const Kernel &K,
 
   tune::Evaluator::Config ECfg;
   ECfg.Jobs = Cfg.Jobs;
-  ECfg.CandidateBudget = Cfg.CandidateBudget;
   ECfg.MaxEvaluations = Batch.size();
   tune::Evaluator Eval(K, Base, Space, ECfg);
   std::vector<double> Scores = Eval.evaluate(Batch);

@@ -66,9 +66,6 @@ struct DatasetBuildConfig {
   std::size_t CandidatesPerKernel = 48;
   /// Evaluator worker threads. Sample values do not depend on it.
   unsigned Jobs = 1;
-  /// Per-candidate solver budget (tune::Evaluator::Config semantics).
-  SolverBudget CandidateBudget{/*MaxPivots=*/2000000,
-                               /*MaxIlpNodes=*/200000, /*WallMs=*/0};
 };
 
 /// Evaluates candidates of \p Space for \p K under \p Base and appends

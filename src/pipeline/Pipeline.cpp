@@ -423,10 +423,8 @@ OperatorReport pinj::runOperator(const Kernel &K,
     obs::Span Cfg("pipeline.config.tvm");
     if (!deadlineExpired("tvm")) {
       try {
-        Report.Tvm = Options.Target
-                         ? simulateTvmProxy(K, *Options.Target,
-                                            Options.Mapping)
-                         : simulateTvmProxy(K, Options.Gpu, Options.Mapping);
+        Report.Tvm = simulateTvmProxy(K, *target::targetFor(Options),
+                                      Options.Mapping);
       } catch (const RecoverableError &E) {
         Report.Tvm = TvmProxyResult();
         recordDegradation("tvm", E.status());

@@ -113,12 +113,10 @@ struct PipelineOptions {
   GpuModel Gpu;
   /// The backend target that scores every configuration (src/target/).
   /// Null means the built-in GPU analytic backend over `Gpu` — the
-  /// default, and bit-identical to the pre-target-subsystem path; code
-  /// that mutates `Gpu` directly keeps working unchanged. When set,
+  /// default. target::targetFor makes that choice for every reader:
   /// simulation, the tvm proxy, the tuner's evaluator and the options
-  /// fingerprint all follow it (and `Gpu` is ignored unless the target
-  /// is itself GPU-analytic). Shared const: safe across the batch
-  /// compiler's and daemon's worker pools.
+  /// fingerprint; `Gpu` is read only when this is null. Shared const:
+  /// safe across the batch compiler's and daemon's worker pools.
   std::shared_ptr<const target::TargetModel> Target;
   /// Execute original vs scheduled order on real buffers and compare
   /// (slow; meant for tests and small shapes).

@@ -198,7 +198,7 @@ DependenceMemo::get(const DependenceOptions &Options,
   std::lock_guard<std::mutex> Lock(E.Mu);
   if (E.Stored)
     return budget::chargeWork(E.Work) ? &E.Relations : nullptr;
-  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  budget::WorkMeter Meter;
   std::vector<DependenceRelation> Relations = computeDependences(K, Options);
   if (budget::anyTripped()) {
     if (Own)

@@ -26,7 +26,7 @@ DimIlp pinj::makeDimIlp(const Kernel &K, const SchedulerOptions &Options) {
       Vars.Param.push_back(V);
     }
     Vars.Const = Ilp.Builder.addVar("e." + S.Name, /*IsInteger=*/true);
-    Ilp.Builder.addUpperBound(Vars.Const, Options.ConstBound);
+    Ilp.Builder.addUpperBound(Vars.Const, ScheduleConstBound);
     Ilp.Stmts.push_back(std::move(Vars));
   }
   for (unsigned P = 0, E = K.numParams(); P != E; ++P)
@@ -266,7 +266,6 @@ std::vector<unsigned> pinj::addFeautrierSatisfaction(
 }
 
 void pinj::addObjectives(DimIlp &Ilp, const Kernel &K,
-                         const SchedulerOptions &Options,
                          const InfluenceNode *Node, unsigned CurDim) {
   // Level 1: sum of u (isl's proximity form, first component).
   SparseForm USum;
@@ -297,18 +296,16 @@ void pinj::addObjectives(DimIlp &Ilp, const Kernel &K,
   Ilp.Builder.addObjective(ShiftSum);
   // Level 5: prefer the original loop order (earlier iterators first),
   // mirroring isl's deterministic preference for identity-like bands.
-  if (Options.PreferOriginalOrder) {
-    SparseForm OrderPref;
-    for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
-      const DimIlp::StmtVars &Vars = Ilp.Stmts[Stmt];
-      Int Weight = 1;
-      for (unsigned I = 0, NI = Vars.Iter.size(); I != NI; ++I) {
-        OrderPref.addTerm(Vars.Iter[I], Weight);
-        Weight = checkedMul(Weight, 2);
-      }
+  SparseForm OrderPref;
+  for (unsigned Stmt = 0, E = K.Stmts.size(); Stmt != E; ++Stmt) {
+    const DimIlp::StmtVars &Vars = Ilp.Stmts[Stmt];
+    Int Weight = 1;
+    for (unsigned I = 0, NI = Vars.Iter.size(); I != NI; ++I) {
+      OrderPref.addTerm(Vars.Iter[I], Weight);
+      Weight = checkedMul(Weight, 2);
     }
-    Ilp.Builder.addObjective(OrderPref);
   }
+  Ilp.Builder.addObjective(OrderPref);
 }
 
 void pinj::appendSolution(const DimIlp &Ilp, const IlpResult &R,

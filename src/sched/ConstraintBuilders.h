@@ -31,13 +31,19 @@
 
 namespace pinj {
 
+/// Upper bound on the constant (shift) scheduling coefficient. Paper
+/// Algorithm 1 runs with fixed bounds; the options fingerprint hashes
+/// this value, so editing it re-keys every cache and TuningDb entry.
+inline constexpr Int ScheduleConstBound = 16;
+/// Hard cap on scheduling dimensions (safety net); hashed like
+/// ScheduleConstBound.
+inline constexpr unsigned MaxScheduleDims = 16;
+
 /// Tunables of the scheduling construction.
 struct SchedulerOptions {
   /// Upper bound on iterator/parameter scheduling coefficients (the
   /// Pluto-style bounded nonnegative coefficient space).
   Int CoeffBound = 4;
-  /// Upper bound on the constant (shift) coefficient.
-  Int ConstBound = 16;
   /// Include read-after-read relations in the proximity cost (paper
   /// Section IV-A2 allows it; isl's default, matched here, uses flow
   /// only — input relations grow quadratically on long fused chains).
@@ -50,23 +56,19 @@ struct SchedulerOptions {
   /// this off so fusion constraints can take effect, with SCC
   /// separation as the Algorithm 1 fallback.
   bool SerializeSccs = false;
-  /// Prefer schedules close to the original loop order among otherwise
-  /// equivalent optima (isl-like determinism); implemented as a final
-  /// weighted-coefficient objective level.
-  bool PreferOriginalOrder = true;
   /// When a dimension cannot be found with the Pluto-style strategy,
   /// try a Feautrier-style dimension (maximize the number of strongly
   /// satisfied relations) before separating components — the isl
   /// mechanism the paper mentions in Section IV-B but did not need on
   /// its operator set.
   bool UseFeautrierFallback = false;
-  /// Hard cap on scheduling dimensions (safety net).
-  unsigned MaxDims = 16;
   /// Resource limits installed around the whole construction; every
   /// simplex pivot and branch-and-bound node is charged against it. An
   /// exhausted budget surfaces as StatusCode::BudgetExceeded and the
   /// scheduler falls back to the original program order.
   SolverBudget Budget;
+
+  bool operator==(const SchedulerOptions &) const = default;
 };
 
 /// The ILP being assembled for one scheduling dimension: variable ids of
@@ -157,10 +159,10 @@ addFeautrierSatisfaction(DimIlp &Ilp, const Kernel &K,
 
 /// Appends the lexicographic objective levels: (sum u, w) per the isl
 /// proximity form, then any objectives injected by \p Node (may be
-/// null), then coefficient-sum and shift-sum tie-breakers, and
-/// optionally the original-order preference.
+/// null), then coefficient-sum and shift-sum tie-breakers, and last the
+/// original-order preference (isl-like determinism among otherwise
+/// equivalent optima).
 void addObjectives(DimIlp &Ilp, const Kernel &K,
-                   const SchedulerOptions &Options,
                    const InfluenceNode *Node = nullptr,
                    unsigned CurDim = 0);
 

@@ -163,7 +163,7 @@ public:
             .arg("active", Active.size())
             .arg("fullrank", allFullRank())
             .arg("progression", !ProgressionDisabled);
-      if (Partial.Dims.size() >= Options.MaxDims) {
+      if (Partial.Dims.size() >= MaxScheduleDims) {
         // With an influence tree the limit is usually the tree asking
         // for unreasonable depth: abandon it and let the plain rerun
         // try. Without a tree there is nothing left to shed.
@@ -324,7 +324,7 @@ private:
         Farkas.addProximity(Ilp, K, I, AllDeps[I]);
     if (Node)
       addInfluence(Ilp, K, *Node, Partial, Partial.Dims.size());
-    addObjectives(Ilp, K, Options, Node, Partial.Dims.size());
+    addObjectives(Ilp, K, Node, Partial.Dims.size());
     ++Stats.IlpSolves;
     obs::Span IlpSpan("sched.ilp");
     IlpResult R = Ilp.Builder.solve();
@@ -395,7 +395,7 @@ private:
     for (unsigned Dep : Active)
       Deps.push_back(&AllDeps[Dep]);
     addFeautrierSatisfaction(Ilp, K, Deps);
-    addObjectives(Ilp, K, Options);
+    addObjectives(Ilp, K);
     ++Stats.IlpSolves;
     IlpResult R = Ilp.Builder.solve();
     Stats.IlpNodes += R.NodesExplored;

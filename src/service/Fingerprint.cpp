@@ -3,7 +3,7 @@
 #include "service/Fingerprint.h"
 
 #include "pipeline/Pipeline.h"
-#include "target/GpuAnalyticTarget.h"
+#include "target/Target.h"
 
 #include <cstring>
 
@@ -135,19 +135,21 @@ Fingerprint service::fingerprintKernel(const Kernel &K) {
 std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   FingerprintBuilder H;
   // v3: the GPU machine-model fields were replaced by the canonical
-  // target section (kind + every named constant) — a null Target hashes
-  // as the gpu-analytic backend over O.Gpu, so `--gpu=v100`,
-  // `--target=v100` and the defaults all share cache entries, while any
-  // other backend or calibrated constant set never aliases them.
+  // target section (kind + every named constant) of the effective
+  // target, so `--gpu=v100`, `--target=v100` and the defaults all share
+  // cache entries, while any other backend or calibrated constant set
+  // never aliases them.
   H.str("pinj-options-v3");
-  // SchedulerOptions.
+  // SchedulerOptions, with the scheduler's fixed bounds in the places
+  // their former fields held (the original-order preference is always
+  // on), so an edit of a constant still re-keys every entry.
   H.i64(O.Sched.CoeffBound);
-  H.i64(O.Sched.ConstBound);
+  H.i64(ScheduleConstBound);
   H.byte(O.Sched.ProximityIncludesInput ? 1 : 0);
   H.byte(O.Sched.SerializeSccs ? 1 : 0);
-  H.byte(O.Sched.PreferOriginalOrder ? 1 : 0);
+  H.byte(1);
   H.byte(O.Sched.UseFeautrierFallback ? 1 : 0);
-  H.u32(O.Sched.MaxDims);
+  H.u32(MaxScheduleDims);
   hashBudget(H, O.Sched.Budget);
   // InfluenceOptions.
   H.f64(O.Influence.Weights.W1);
@@ -160,16 +162,14 @@ std::uint64_t service::fingerprintOptions(const PipelineOptions &O) {
   H.u32(O.Influence.MaxScenarios);
   H.u32(O.Influence.MaxInnerDims);
   H.u32(O.Influence.MaxVectorWidth);
-  // GPU mapping + backend target (the machine model feeds vector-width
-  // choices through the influence cost, and the target scores every
-  // configuration, so both are compilation-relevant). The canonical
+  // GPU mapping + the effective backend target (the target scores
+  // every configuration, so it is compilation-relevant). The canonical
   // form covers the kind and every named constant; the display name is
   // deliberately absent (identity is what the target computes).
   H.i64(O.Mapping.MaxThreadsPerBlock);
-  H.str(O.Target ? O.Target->kind()
-                 : std::string(target::GpuAnalyticKind));
-  std::vector<target::TargetParam> Params =
-      O.Target ? O.Target->params() : target::gpuAnalyticParams(O.Gpu);
+  std::shared_ptr<const target::TargetModel> T = target::targetFor(O);
+  H.str(T->kind());
+  std::vector<target::TargetParam> Params = T->params();
   H.u64(Params.size());
   for (const target::TargetParam &P : Params) {
     H.str(P.Name);

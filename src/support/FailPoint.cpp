@@ -28,7 +28,7 @@ const char *const Sites[] = {
     "influence.tree",   // buildInfluenceTree entry.
     "codegen.map",      // mapToGpu entry (block/thread mapping).
     "codegen.vectorize",// finalizeVectorMarks entry.
-    "gpusim.simulate",  // simulateKernel entry.
+    "gpusim.simulate",  // GpuAnalyticTarget::simulate entry.
     "exec.interpret",   // scheduleIsSemanticallyEqual entry (validation).
     "baselines.tvm",    // simulateTvmProxy entry.
     "service.parse",    // Daemon request-line parse boundary.

@@ -30,7 +30,7 @@ enum class StatusCode {
   Ok = 0,
   Overflow,       ///< 64/128-bit overflow in exact integer/rational math.
   BudgetExceeded, ///< A solver budget (pivots, nodes, deadline) ran out.
-  DimensionLimit, ///< The scheduling construction exceeded MaxDims.
+  DimensionLimit, ///< The construction exceeded MaxScheduleDims.
   Stuck,          ///< Every scheduling fallback was exhausted.
   SolverError,    ///< A solver produced an unusable result.
   InvalidInput,   ///< Input rejected by kernel verification.

@@ -2,12 +2,17 @@
 
 #include "target/GpuAnalyticTarget.h"
 
+#include "obs/Metrics.h"
+#include "obs/Trace.h"
+#include "support/FailPoint.h"
+
+#include <algorithm>
 #include <cmath>
 
 using namespace pinj;
 using namespace pinj::target;
 
-std::vector<TargetParam> target::gpuAnalyticParams(const GpuModel &M) {
+std::vector<TargetParam> GpuAnalyticTarget::params() const {
   return {
       {"WarpSize", static_cast<double>(M.WarpSize)},
       {"SectorBytes", static_cast<double>(M.SectorBytes)},
@@ -31,10 +36,26 @@ KernelSim GpuAnalyticTarget::finishTime(KernelSim Counters) const {
 }
 
 KernelSim GpuAnalyticTarget::simulate(const MappedKernel &Mk) const {
-  // Delegate to the gpusim entry point — span, fail-point and metrics
-  // included — so this target is indistinguishable from the legacy
-  // simulateKernel(M, Gpu) path, bit for bit.
-  return simulateKernel(Mk, M);
+  obs::Span Sp("gpusim.simulate");
+  failpoint::hit("gpusim.simulate");
+  KernelSim Sim = finishTime(accumulateCounters(Mk));
+
+  static obs::Counter &Kernels =
+      obs::metrics().counter("gpusim.kernels_simulated");
+  static obs::Counter &Transactions =
+      obs::metrics().counter("gpusim.transactions");
+  static obs::Histogram &TxPerKernel =
+      obs::metrics().histogram("gpusim.transactions_per_kernel");
+  Kernels.inc();
+  Transactions.add(
+      static_cast<std::uint64_t>(std::llround(std::max(0.0, Sim.Transactions))));
+  TxPerKernel.observe(Sim.Transactions);
+  if (Sp.active())
+    Sp.arg("kernel", Mk.K->Name)
+        .arg("transactions", Sim.Transactions)
+        .arg("warps", Sim.Warps)
+        .arg("time_us", Sim.TimeUs);
+  return Sim;
 }
 
 bool GpuAnalyticTarget::setParam(const std::string &Name, double Value) {

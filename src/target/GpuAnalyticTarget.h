@@ -9,10 +9,9 @@
 /// The paper's analytic GPU model behind the TargetModel interface:
 /// 32-lane warps coalescing into 32-byte sectors (transaction model)
 /// and the bandwidth-saturation / issue-rate / launch-overhead time
-/// model of gpusim/GpuModel.h. simulate() delegates to simulateKernel,
-/// so a GpuAnalyticTarget over a preset scores every kernel
-/// bit-identically to the pre-subsystem `--gpu=PRESET` path (the
-/// differential test in tests/target_test.cpp holds this).
+/// model of gpusim/GpuModel.h. simulate() is the one GPU simulation
+/// entry point: it owns the gpusim.simulate span, fail-point and
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,13 +26,6 @@ namespace target {
 /// The registry kind string of this backend.
 inline constexpr const char *GpuAnalyticKind = "gpu-analytic";
 
-/// The canonical constant enumeration of a GpuModel (field name ->
-/// value, stable order). Shared by GpuAnalyticTarget::params() and the
-/// options fingerprint, which canonicalizes a null PipelineOptions::
-/// Target as this backend over Options.Gpu — so `--gpu=v100`,
-/// `--target=v100` and the default options all hash identically.
-std::vector<TargetParam> gpuAnalyticParams(const GpuModel &M);
-
 class GpuAnalyticTarget : public TargetModel {
 public:
   explicit GpuAnalyticTarget(GpuModel M = GpuModel()) : M(M) {}
@@ -45,9 +37,7 @@ public:
   KernelSim finishTime(KernelSim Counters) const override;
   KernelSim simulate(const MappedKernel &Mk) const override;
 
-  std::vector<TargetParam> params() const override {
-    return gpuAnalyticParams(M);
-  }
+  std::vector<TargetParam> params() const override;
   bool setParam(const std::string &Name, double Value) override;
   std::pair<double, double>
   paramRange(const std::string &Name) const override;

@@ -236,9 +236,16 @@ std::shared_ptr<TargetModel> target::loadTargetFile(const std::string &Path,
 // Options integration
 //===----------------------------------------------------------------------===//
 
+std::shared_ptr<const TargetModel>
+target::targetFor(const PipelineOptions &O) {
+  if (O.Target)
+    return O.Target;
+  return std::make_shared<GpuAnalyticTarget>(O.Gpu);
+}
+
 KernelSim target::simulateForOptions(const MappedKernel &M,
                                      const PipelineOptions &O) {
-  return O.Target ? O.Target->simulate(M) : simulateKernel(M, O.Gpu);
+  return targetFor(O)->simulate(M);
 }
 
 std::string target::targetIdForOptions(const PipelineOptions &O) {
@@ -251,12 +258,10 @@ std::string target::targetIdForOptions(const PipelineOptions &O) {
       Byte(static_cast<std::uint8_t>(C));
     Byte(0);
   };
-  std::string Kind =
-      O.Target ? O.Target->kind() : std::string(GpuAnalyticKind);
-  std::vector<TargetParam> Params =
-      O.Target ? O.Target->params() : gpuAnalyticParams(O.Gpu);
+  std::shared_ptr<const TargetModel> T = targetFor(O);
+  std::string Kind = T->kind();
   Str(Kind);
-  for (const TargetParam &P : Params) {
+  for (const TargetParam &P : T->params()) {
     Str(P.Name);
     std::uint64_t Bits;
     static_assert(sizeof(Bits) == sizeof(P.Value), "double must be 64-bit");

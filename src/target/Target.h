@@ -160,15 +160,19 @@ std::shared_ptr<TargetModel> loadTargetFile(const std::string &Path,
 // Options integration
 //===----------------------------------------------------------------------===//
 
-/// Simulates \p M under the options' effective target:
-/// Options.Target when set, else the built-in GPU analytic path over
-/// Options.Gpu (the legacy default — bit-identical to
-/// simulateKernel(M, Options.Gpu)). Every simulation the pipeline, the
-/// tuner's evaluator and the tvm proxy perform goes through here.
+/// The options' effective target: Options.Target when set, else the
+/// built-in GPU analytic backend over Options.Gpu (the default). The
+/// one place that decides which target scores a configuration:
+/// simulation, the tvm proxy, the options fingerprint and the target
+/// id all ask it.
+std::shared_ptr<const TargetModel> targetFor(const PipelineOptions &O);
+
+/// Simulates \p M under targetFor(O). Every simulation the pipeline and
+/// the tuner's evaluator perform goes through here.
 KernelSim simulateForOptions(const MappedKernel &M,
                              const PipelineOptions &O);
 
-/// A short stable identity token for the options' effective target:
+/// A short stable identity token for targetFor(O):
 /// "<kind>-<16 hex>" where the hash covers the kind and every constant
 /// (not the display name). Stamps surrogate datasets (model/Dataset.h)
 /// so training samples never mix targets.

@@ -67,8 +67,10 @@ bool Autotuner::tune(const Kernel &K, PipelineOptions &Tuned,
   }
 
   Searches.inc();
-  Evaluator Eval(K, Tuned, Cfg.Space,
-                 {Cfg.Jobs, Cfg.CandidateBudget, Cfg.MaxEvaluations});
+  Evaluator::Config EvalCfg;
+  EvalCfg.Jobs = Cfg.Jobs;
+  EvalCfg.MaxEvaluations = Cfg.MaxEvaluations;
+  Evaluator Eval(K, Tuned, Cfg.Space, EvalCfg);
   double Baseline = Eval.baseline();
   std::optional<ScoredCandidate> Best = Strat->run(Cfg.Space, Eval, Cfg.Seed);
 

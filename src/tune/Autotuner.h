@@ -40,10 +40,6 @@ public:
     /// Worker threads per search (1 inside batch compilation, where
     /// operators are already evaluated concurrently).
     unsigned Jobs = 1;
-    /// Per-candidate solver isolation (see Evaluator::Config).
-    SolverBudget CandidateBudget{/*MaxPivots=*/2000000,
-                                 /*MaxIlpNodes=*/200000,
-                                 /*WallMs=*/0};
     /// The space to search; defaultSearchSpace() unless narrowed.
     SearchSpace Space;
     /// Optional persistent store; not owned. May be shared by

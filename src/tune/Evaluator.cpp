@@ -8,31 +8,14 @@
 #include "support/Status.h"
 #include "target/Target.h"
 
-#include <cstring>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 using namespace pinj;
 using namespace pinj::tune;
 
 namespace {
-
-// A new SchedulerOptions or GpuMappingOptions field must join the
-// schedule or score key; these mirrors stop compiling until it does.
-struct SchedulerOptionsMirror {
-  Int CoeffBound;
-  Int ConstBound;
-  bool ProximityIncludesInput;
-  bool SerializeSccs;
-  bool PreferOriginalOrder;
-  bool UseFeautrierFallback;
-  unsigned MaxDims;
-  SolverBudget Budget;
-};
-static_assert(sizeof(SchedulerOptionsMirror) == sizeof(SchedulerOptions),
-              "new SchedulerOptions field: add it to scheduleStageKey");
-static_assert(sizeof(GpuMappingOptions) == sizeof(Int),
-              "new GpuMappingOptions field: add it to the score key");
 
 /// The schedule a candidate scores: the influenced stage under \p Tree
 /// (null: building it failed), the reference stage when that is not
@@ -79,33 +62,7 @@ bool scheduleFresh(const Kernel &K, const PipelineOptions &O, Schedule &S) {
                        nullptr, S);
 }
 
-void appendU64(std::string &Out, std::uint64_t V) {
-  for (unsigned I = 0; I != 8; ++I)
-    Out += static_cast<char>((V >> (8 * I)) & 0xff);
-}
-
 } // namespace
-
-std::string tune::scheduleStageKey(const InfluenceTree *Tree,
-                                   const SchedulerOptions &Sched) {
-  // SerializeSccs is left out: the stage sets it for each run itself.
-  std::string Key;
-  appendU64(Key, static_cast<std::uint64_t>(Sched.CoeffBound));
-  appendU64(Key, static_cast<std::uint64_t>(Sched.ConstBound));
-  appendU64(Key, Sched.ProximityIncludesInput);
-  appendU64(Key, Sched.PreferOriginalOrder);
-  appendU64(Key, Sched.UseFeautrierFallback);
-  appendU64(Key, Sched.MaxDims);
-  appendU64(Key, Sched.Budget.MaxPivots);
-  appendU64(Key, Sched.Budget.MaxIlpNodes);
-  std::uint64_t WallBits;
-  std::memcpy(&WallBits, &Sched.Budget.WallMs, sizeof(WallBits));
-  appendU64(Key, WallBits);
-  Key += Tree ? 'T' : '-';
-  if (Tree)
-    Key += Tree->key();
-  return Key;
-}
 
 bool tune::buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
                                  MappedKernel &Out) {
@@ -127,39 +84,53 @@ double tune::predictInflTimeUs(const Kernel &K, const PipelineOptions &O) {
   return scheduleFresh(K, O, S) ? scoreStage(K, S, O) : failedScore();
 }
 
-/// The stage memo of one search. Published schedule entries never
-/// change and unordered_map never moves its nodes, so entry pointers
-/// stay valid without the lock. Scores key on the schedule entry plus
-/// the mapping options; the target is the evaluator's base target for
-/// every candidate.
+/// The stage memo of one search. A schedule keys on the influence
+/// tree's key (none: building the tree failed, so the stage takes the
+/// isl fallback) plus the scheduler options compared by value, with
+/// SerializeSccs normalized because the stage sets it for each of its
+/// runs; a new SchedulerOptions field joins the key by construction.
+/// Published entries never change and unordered_multimap never moves
+/// its nodes, so entry pointers stay valid without the lock. Scores key
+/// on the schedule entry plus the mapping options; the target is the
+/// evaluator's base target for every candidate.
 class Evaluator::StageMemo {
 public:
+  using TreeKey = std::optional<std::string>;
+
   struct ScheduleEntry {
-    bool Ok = false; ///< False: no simulatable schedule.
+    SchedulerOptions Options; ///< Key half; SerializeSccs normalized.
+    bool Ok = false;          ///< False: no simulatable schedule.
     Schedule Sched;
     SolverWork Work; ///< What computing the entry charged the budgets.
   };
 
   explicit StageMemo(const Kernel &K) : Deps(K) {}
 
-  const ScheduleEntry *findSchedule(const std::string &Key) {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Schedules.find(Key);
-    return It == Schedules.end() ? nullptr : &It->second;
+  static SchedulerOptions normalized(SchedulerOptions O) {
+    O.SerializeSccs = false;
+    return O;
   }
 
-  /// Publishes \p E under \p Key; a concurrent identical computation
-  /// may have won the race, and its equal entry is returned instead.
-  const ScheduleEntry *storeSchedule(const std::string &Key,
-                                     ScheduleEntry E) {
+  const ScheduleEntry *findSchedule(const TreeKey &Tree,
+                                    const SchedulerOptions &Sched) {
     std::lock_guard<std::mutex> Lock(Mu);
-    return &Schedules.try_emplace(Key, std::move(E)).first->second;
+    return findLocked(Tree, normalized(Sched));
+  }
+
+  /// Publishes \p E under \p Tree; a concurrent identical computation
+  /// may have won the race, and its equal entry is returned instead.
+  const ScheduleEntry *storeSchedule(const TreeKey &Tree, ScheduleEntry E) {
+    E.Options = normalized(E.Options);
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (const ScheduleEntry *Won = findLocked(Tree, E.Options))
+      return Won;
+    return &Schedules.emplace(Tree, std::move(E))->second;
   }
 
   bool findScore(const ScheduleEntry *E, const GpuMappingOptions &Mapping,
                  double &Out) {
     std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Scores.find({E, Mapping.MaxThreadsPerBlock});
+    auto It = Scores.find({E, Mapping});
     if (It == Scores.end())
       return false;
     Out = It->second;
@@ -169,15 +140,25 @@ public:
   void storeScore(const ScheduleEntry *E, const GpuMappingOptions &Mapping,
                   double Score) {
     std::lock_guard<std::mutex> Lock(Mu);
-    Scores.emplace(std::make_pair(E, Mapping.MaxThreadsPerBlock), Score);
+    Scores.emplace(std::make_pair(E, Mapping), Score);
   }
 
   const DependenceMemo Deps;
 
 private:
+  const ScheduleEntry *findLocked(const TreeKey &Tree,
+                                  const SchedulerOptions &Sched) const {
+    auto [It, End] = Schedules.equal_range(Tree);
+    for (; It != End; ++It)
+      if (It->second.Options == Sched)
+        return &It->second;
+    return nullptr;
+  }
+
   std::mutex Mu;
-  std::unordered_map<std::string, ScheduleEntry> Schedules;
-  std::map<std::pair<const ScheduleEntry *, Int>, double> Scores;
+  std::unordered_multimap<TreeKey, ScheduleEntry> Schedules;
+  std::map<std::pair<const ScheduleEntry *, GpuMappingOptions>, double>
+      Scores;
 };
 
 Evaluator::Evaluator(const Kernel &K, const PipelineOptions &Base,
@@ -210,13 +191,16 @@ double Evaluator::score(const PipelineOptions &O) const {
   Status TreeStatus;
   InfluenceTree Tree = tryBuildInfluenceTree(K, O.Influence, TreeStatus);
   const InfluenceTree *T = TreeStatus.ok() ? &Tree : nullptr;
-  std::string Key = scheduleStageKey(T, O.Sched);
+  StageMemo::TreeKey Key;
+  if (T)
+    Key = T->key();
 
   // Serve a stored schedule only where recomputing it would give the
   // same answer: under a tripped or expired budget recomputation fails,
   // and a budget that cannot absorb the entry's work would trip inside
   // it, so that case recomputes.
-  const StageMemo::ScheduleEntry *Entry = Stages->findSchedule(Key);
+  const StageMemo::ScheduleEntry *Entry =
+      Stages->findSchedule(Key, O.Sched);
   if (Entry) {
     budget::deadlineExpired();
     if (budget::anyTripped())
@@ -228,8 +212,9 @@ double Evaluator::score(const PipelineOptions &O) const {
   }
   if (!Entry) {
     StageMemo::ScheduleEntry E;
+    E.Options = O.Sched;
     {
-      budget::WorkMeter Meter(budget::WorkMeter::Nested);
+      budget::WorkMeter Meter;
       E.Ok = scheduleStage(K, T, O.Sched, &Stages->Deps, E.Sched);
       E.Work = Meter.work();
     }

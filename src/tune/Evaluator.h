@@ -133,12 +133,6 @@ double predictInflTimeUs(const Kernel &K, const PipelineOptions &O);
 bool buildInflMappedKernel(const Kernel &K, const PipelineOptions &O,
                            MappedKernel &Out);
 
-/// The schedule stage's memo key: \p Tree's key (null: building the
-/// tree failed, so the stage takes the isl fallback) plus every
-/// SchedulerOptions field the stage reads, budget included.
-std::string scheduleStageKey(const InfluenceTree *Tree,
-                             const SchedulerOptions &Sched);
-
 } // namespace tune
 } // namespace pinj
 

@@ -72,7 +72,7 @@ TEST(ParametricProximity, UniformDistanceNeedsOnlyW) {
   Progress.addTerm(Ilp.Stmts[0].Iter[0], 1);
   Progress.addConstant(-1);
   Ilp.Builder.addGe(Progress);
-  addObjectives(Ilp, K, Options);
+  addObjectives(Ilp, K);
   IlpResult R = Ilp.Builder.solve();
   ASSERT_TRUE(R.isOptimal());
   EXPECT_EQ(R.Point[Ilp.U[0]], Rational(0));
@@ -102,7 +102,7 @@ TEST(ParametricProximity, ParameterScaledDistanceNeedsU) {
   Progress.addTerm(Ilp.Stmts[0].Iter[0], 1);
   Progress.addConstant(-1);
   Ilp.Builder.addGe(Progress);
-  addObjectives(Ilp, K, Options);
+  addObjectives(Ilp, K);
   IlpResult R = Ilp.Builder.solve();
   ASSERT_TRUE(R.isOptimal());
   EXPECT_EQ(R.Point[Ilp.Stmts[0].Iter[0]], Rational(1));
@@ -140,7 +140,7 @@ TEST(ParametricProximity, ValidityRejectsReversalAcrossParam) {
   SparseForm WZero;
   WZero.addTerm(Ilp.W, 1);
   Ilp.Builder.addEq(WZero);
-  addObjectives(Ilp, K, Options);
+  addObjectives(Ilp, K);
   EXPECT_FALSE(Ilp.Builder.solve().isOptimal());
 }
 

@@ -4,6 +4,7 @@
 #include "gpusim/GpuModel.h"
 #include "influence/TreeBuilder.h"
 #include "sched/Scheduler.h"
+#include "target/GpuAnalyticTarget.h"
 #include "TestKernels.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,11 @@
 using namespace pinj;
 
 namespace {
+
+/// The GPU-analytic target's full simulation of \p M on \p Model.
+KernelSim simulateOn(const MappedKernel &M, const GpuModel &Model) {
+  return target::GpuAnalyticTarget(Model).simulate(M);
+}
 
 SchedulerOptions baseline() {
   SchedulerOptions O;
@@ -21,7 +27,7 @@ SchedulerOptions baseline() {
 KernelSim simulateBaseline(const Kernel &K) {
   SchedulerResult R = scheduleKernel(K, baseline());
   MappedKernel M = mapToGpu(K, R.Sched);
-  return simulateKernel(M, GpuModel());
+  return simulateOn(M, GpuModel());
 }
 
 KernelSim simulateInfluenced(const Kernel &K, bool Vectorize) {
@@ -29,7 +35,7 @@ KernelSim simulateInfluenced(const Kernel &K, bool Vectorize) {
   SchedulerResult R = scheduleKernel(K, SchedulerOptions(), &Tree);
   finalizeVectorMarks(K, R.Sched, !Vectorize);
   MappedKernel M = mapToGpu(K, R.Sched);
-  return simulateKernel(M, GpuModel());
+  return simulateOn(M, GpuModel());
 }
 
 } // namespace
@@ -186,8 +192,8 @@ TEST(Simulator, BandwidthScalesTime) {
   GpuModel Fast;
   GpuModel Slow;
   Slow.PeakBandwidthGBs = Fast.PeakBandwidthGBs / 4;
-  KernelSim FastSim = simulateKernel(M, Fast);
-  KernelSim SlowSim = simulateKernel(M, Slow);
+  KernelSim FastSim = simulateOn(M, Fast);
+  KernelSim SlowSim = simulateOn(M, Slow);
   EXPECT_GT(SlowSim.MemTimeUs, FastSim.MemTimeUs * 3.5);
 }
 
@@ -269,7 +275,7 @@ TEST(GoldenCounts, PartialLastWarpCountsActiveLanesOnly) {
   // lanes, 64 bytes = 2 sectors per access; 2 accesses (read + write).
   Kernel K = make1DCopy(48);
   MappedKernel M = mapOneBlock(K, 48);
-  KernelSim Sim = simulateKernel(M, GpuModel());
+  KernelSim Sim = simulateOn(M, GpuModel());
   EXPECT_DOUBLE_EQ(Sim.Warps, 2.0);
   EXPECT_DOUBLE_EQ(Sim.Transactions, (4 + 2) * 2.0);
   EXPECT_DOUBLE_EQ(Sim.TransactionBytes, 12 * 32.0);
@@ -291,7 +297,7 @@ TEST(GoldenCounts, StrideZeroBroadcastIsOneSectorPerWarp) {
       .op(OpKind::Relu);
   Kernel K = B.build();
   MappedKernel M = mapOneBlock(K, 64);
-  KernelSim Sim = simulateKernel(M, GpuModel());
+  KernelSim Sim = simulateOn(M, GpuModel());
   EXPECT_DOUBLE_EQ(Sim.Warps, 2.0);
   EXPECT_DOUBLE_EQ(Sim.Transactions, (4 + 1) * 2.0);
   EXPECT_DOUBLE_EQ(Sim.MemInstructions, 64 * 2.0);
@@ -313,11 +319,11 @@ TEST(GoldenCounts, NegativeStrideCoalescesLikeForward) {
       .op(OpKind::Relu);
   Kernel K = B.build();
   MappedKernel M = mapOneBlock(K, 64);
-  KernelSim Rev = simulateKernel(M, GpuModel());
+  KernelSim Rev = simulateOn(M, GpuModel());
   EXPECT_DOUBLE_EQ(Rev.Transactions, (4 + 4) * 2.0);
 
   Kernel Fwd = make1DCopy(64);
-  KernelSim FwdSim = simulateKernel(mapOneBlock(Fwd, 64), GpuModel());
+  KernelSim FwdSim = simulateOn(mapOneBlock(Fwd, 64), GpuModel());
   EXPECT_DOUBLE_EQ(Rev.Transactions, FwdSim.Transactions);
   EXPECT_DOUBLE_EQ(Rev.MemInstructions, FwdSim.MemInstructions);
   EXPECT_DOUBLE_EQ(Rev.UsefulBytes, FwdSim.UsefulBytes);

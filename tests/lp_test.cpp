@@ -424,7 +424,7 @@ TEST(WorkMeter, ChargeWorkReplaysExactlyOrNotAtAll) {
   // and refuse (charging nothing) whenever those charges would trip it.
   SolverBudget B{/*MaxPivots=*/10, /*MaxIlpNodes=*/3, /*WallMs=*/0};
   budget::BudgetScope Scope(B);
-  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  budget::WorkMeter Meter;
   EXPECT_TRUE(budget::chargeWork({7, 3}));
   EXPECT_FALSE(budget::chargeWork({4, 0})); // Only 3 pivots left.
   EXPECT_FALSE(budget::chargeWork({0, 1})); // No node left.
@@ -436,20 +436,4 @@ TEST(WorkMeter, ChargeWorkReplaysExactlyOrNotAtAll) {
   EXPECT_FALSE(budget::chargePivot()); // The 11th pivot trips.
   EXPECT_TRUE(Scope.tripped());
   EXPECT_FALSE(budget::chargeWork({0, 0})); // Never past a trip.
-}
-
-TEST(WorkMeter, DetachedMeterHidesEnclosingScopes) {
-  SolverBudget B{/*MaxPivots=*/1, 0, 0};
-  budget::BudgetScope Scope(B);
-  {
-    budget::WorkMeter Meter(budget::WorkMeter::Detached);
-    for (int I = 0; I != 5; ++I)
-      EXPECT_TRUE(budget::chargePivot());
-    EXPECT_FALSE(budget::anyTripped());
-    EXPECT_EQ(Meter.work().Pivots, 5u);
-  }
-  EXPECT_FALSE(Scope.tripped());
-  EXPECT_TRUE(budget::chargePivot());
-  EXPECT_FALSE(budget::chargePivot());
-  EXPECT_TRUE(Scope.tripped());
 }

@@ -133,7 +133,7 @@ TEST(Pipeline, OperatorPivotCapStopsTheSharedAnalysis) {
   obs::MetricsSnapshot Before = obs::metrics().snapshot();
   std::uint64_t Charged;
   {
-    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    budget::WorkMeter Meter;
     computeDependences(K);
     Charged = Meter.work().Pivots;
   }

@@ -213,13 +213,13 @@ TEST(DependenceMemo, SharesOneAnalysisAndChargesItsWork) {
   SolverWork Fresh;
   std::size_t FreshCount;
   {
-    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    budget::WorkMeter Meter;
     FreshCount = computeDependences(K).size();
     Fresh = Meter.work();
   }
   ASSERT_GT(Fresh.Pivots, 0u);
   for (int Round = 0; Round != 2; ++Round) {
-    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    budget::WorkMeter Meter;
     const std::vector<DependenceRelation> *Deps = Memo.get({});
     ASSERT_NE(Deps, nullptr);
     EXPECT_EQ(Deps->size(), FreshCount);
@@ -246,7 +246,7 @@ TEST(DependenceMemo, FirstAnalysisRunsUnderTheCallersBudgets) {
   SolverWork Fresh;
   std::size_t FreshCount;
   {
-    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    budget::WorkMeter Meter;
     FreshCount = computeDependences(K).size();
     Fresh = Meter.work();
   }
@@ -276,7 +276,7 @@ TEST(DependenceMemo, FirstAnalysisRunsUnderTheCallersBudgets) {
   }
 
   // Nothing was stored: the next caller analyzes in full.
-  budget::WorkMeter Meter(budget::WorkMeter::Nested);
+  budget::WorkMeter Meter;
   const std::vector<DependenceRelation> *Deps = Memo.get({});
   ASSERT_NE(Deps, nullptr);
   EXPECT_EQ(Deps->size(), FreshCount);

@@ -196,12 +196,9 @@ TEST(FingerprintTest, EveryPipelineOptionFieldIsHashed) {
 
   // SchedulerOptions.
   Sensitive([](PipelineOptions &O) { O.Sched.CoeffBound += 1; });
-  Sensitive([](PipelineOptions &O) { O.Sched.ConstBound += 1; });
   Sensitive([](PipelineOptions &O) { O.Sched.ProximityIncludesInput = true; });
   Sensitive([](PipelineOptions &O) { O.Sched.SerializeSccs = true; });
-  Sensitive([](PipelineOptions &O) { O.Sched.PreferOriginalOrder = false; });
   Sensitive([](PipelineOptions &O) { O.Sched.UseFeautrierFallback = true; });
-  Sensitive([](PipelineOptions &O) { O.Sched.MaxDims += 1; });
   Sensitive([](PipelineOptions &O) { O.Sched.Budget.MaxPivots = 7; });
   Sensitive([](PipelineOptions &O) { O.Sched.Budget.MaxIlpNodes = 7; });
   Sensitive([](PipelineOptions &O) { O.Sched.Budget.WallMs = 7.0; });

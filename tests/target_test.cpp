@@ -8,6 +8,7 @@
 #include "codegen/Vectorizer.h"
 #include "influence/TreeBuilder.h"
 #include "obs/Metrics.h"
+#include "ops/OpFactory.h"
 #include "pipeline/Pipeline.h"
 #include "sched/Scheduler.h"
 #include "TestKernels.h"
@@ -105,11 +106,11 @@ TEST(TargetRegistry, UnknownTargetDiagnosticListsAvailable) {
 // GPU differential: the refactor must be bit-identical
 //===----------------------------------------------------------------------===//
 
-// The tentpole's behavior-preservation gate: over the full tuning bench
-// corpus and every GPU preset, GpuAnalyticTarget must reproduce the
-// pre-subsystem simulateKernel result bit for bit, on both the baseline
-// and the influenced+vectorized mapping.
-TEST(TargetDifferential, GpuAnalyticMatchesSimulateKernelBitExactly) {
+// Over the full tuning bench corpus and every GPU preset,
+// GpuAnalyticTarget must reproduce the gpusim model — the sector
+// transaction walk followed by the analytic GPU time model — bit for
+// bit, on both the baseline and the influenced+vectorized mapping.
+TEST(TargetDifferential, GpuAnalyticMatchesGpusimModelBitExactly) {
   std::vector<Kernel> Corpus = tuneBenchCorpus(0);
   ASSERT_GE(Corpus.size(), 20u);
   std::vector<std::string> Presets = gpuModelPresetNames();
@@ -121,9 +122,13 @@ TEST(TargetDifferential, GpuAnalyticMatchesSimulateKernelBitExactly) {
     for (const std::string &P : Presets) {
       GpuModel Model = *gpuModelPreset(P);
       GpuAnalyticTarget T(Model);
-      expectSimBitIdentical(T.simulate(Base), simulateKernel(Base, Model),
+      SectorTransactionModel Tx(Model.WarpSize, Model.SectorBytes);
+      auto Gpusim = [&](const MappedKernel &M) {
+        return finishGpuTime(accumulateTransactions(M, Tx), Model);
+      };
+      expectSimBitIdentical(T.simulate(Base), Gpusim(Base),
                             K.Name + "/" + P + "/baseline");
-      expectSimBitIdentical(T.simulate(Infl), simulateKernel(Infl, Model),
+      expectSimBitIdentical(T.simulate(Infl), Gpusim(Infl),
                             K.Name + "/" + P + "/influenced");
     }
   }
@@ -305,6 +310,41 @@ TEST(TargetIdentity, IdCoversKindAndConstantsNotName) {
   ASSERT_TRUE(T->setParam("PeakBandwidthGBs", 901.0));
   Tweaked.Target = std::move(T);
   EXPECT_NE(targetIdForOptions(Tweaked), NullId);
+}
+
+// A null Target means the GPU-analytic target over Options.Gpu
+// everywhere runOperator scores, the tvm proxy's shared-memory tile
+// included (hostile_permute_a takes it).
+TEST(TargetIdentity, NullTargetRunsLikeAnExplicitGpuTarget) {
+  std::vector<Kernel> Kernels = {
+      makeRunningExample(8),       makeElementwise(8, 12),
+      makeTranspose(16, 24),       makeProducerConsumer(8, 16),
+      makeBadOrderCopy(16, 64),    makeRowReduction(8, 32),
+      makeHostileOrderPermute3D("hostile_permute_a", 8, 32, 48, 1)};
+  for (const char *Preset : {"v100", "p100"}) {
+    PipelineOptions Null;
+    Null.Gpu = *gpuModelPreset(Preset);
+    PipelineOptions Explicit = Null;
+    Explicit.Target = std::make_shared<GpuAnalyticTarget>(Null.Gpu);
+    for (const Kernel &K : Kernels) {
+      std::string What = K.Name + "/" + Preset;
+      OperatorReport A = runOperator(K, Null);
+      OperatorReport B = runOperator(K, Explicit);
+      ASSERT_FALSE(A.degraded()) << What;
+      ASSERT_FALSE(B.degraded()) << What;
+      EXPECT_EQ(A.Isl.TimeUs, B.Isl.TimeUs) << What;
+      EXPECT_EQ(A.Novec.TimeUs, B.Novec.TimeUs) << What;
+      EXPECT_EQ(A.Infl.TimeUs, B.Infl.TimeUs) << What;
+      EXPECT_EQ(A.Tvm.TimeUs, B.Tvm.TimeUs) << What;
+      expectSimBitIdentical(A.Tvm.Aggregate, B.Tvm.Aggregate, What);
+      if (K.Name == "hostile_permute_a") {
+        // The tile rewrite leaves exactly the useful bytes transferred.
+        EXPECT_EQ(A.Tvm.Aggregate.TransactionBytes,
+                  A.Tvm.Aggregate.UsefulBytes)
+            << What;
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -30,7 +30,6 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <set>
 #include <fstream>
 #include <sstream>
@@ -488,7 +487,7 @@ TEST(StageMemo, OuterPivotCapTrippingMidSearchMatchesFreshScoring) {
   // Size the outer cap at half the work the un-memoized search does.
   SolverWork Total;
   {
-    budget::WorkMeter Meter(budget::WorkMeter::Nested);
+    budget::WorkMeter Meter;
     freshScores(K, Space, Cands, B);
     Total = Meter.work();
   }
@@ -619,33 +618,6 @@ TEST(StageMemo, TreeKeyCoversEveryFieldTheSchedulerReads) {
     Distinct.insert(Key);
   }
   EXPECT_EQ(Distinct.size(), Keys.size() + 1);
-
-  // The stage key adds every scheduler option the stage reads, and
-  // tells "no tree" (building it failed) from an empty tree.
-  SchedulerOptions S;
-  const std::string StageKey = scheduleStageKey(&Base, S);
-  std::vector<std::function<void(SchedulerOptions &)>> Edits = {
-      [](SchedulerOptions &O) { O.CoeffBound = 3; },
-      [](SchedulerOptions &O) { O.ConstBound = 8; },
-      [](SchedulerOptions &O) { O.ProximityIncludesInput = true; },
-      [](SchedulerOptions &O) { O.PreferOriginalOrder = false; },
-      [](SchedulerOptions &O) { O.UseFeautrierFallback = true; },
-      [](SchedulerOptions &O) { O.MaxDims = 8; },
-      [](SchedulerOptions &O) { O.Budget.MaxPivots = 50000; },
-      [](SchedulerOptions &O) { O.Budget.MaxIlpNodes = 5000; },
-      [](SchedulerOptions &O) { O.Budget.WallMs = 10; },
-  };
-  for (std::size_t I = 0; I < Edits.size(); ++I) {
-    SchedulerOptions O = S;
-    Edits[I](O);
-    EXPECT_NE(scheduleStageKey(&Base, O), StageKey) << "option " << I;
-  }
-  // The stage sets SerializeSccs itself for each of its runs.
-  SchedulerOptions Serialized = S;
-  Serialized.SerializeSccs = true;
-  EXPECT_EQ(scheduleStageKey(&Base, Serialized), StageKey);
-  InfluenceTree Empty;
-  EXPECT_NE(scheduleStageKey(nullptr, S), scheduleStageKey(&Empty, S));
 }
 
 TEST(StageMemo, OptionsBuildingTheSameTreeShareAKey) {
@@ -657,8 +629,6 @@ TEST(StageMemo, OptionsBuildingTheSameTreeShareAKey) {
   InfluenceTree B = buildInfluenceTree(K, Narrow);
   ASSERT_FALSE(A.empty());
   EXPECT_EQ(A.key(), B.key());
-  EXPECT_EQ(scheduleStageKey(&A, SchedulerOptions()),
-            scheduleStageKey(&B, SchedulerOptions()));
   // A knob that does reshape the tree changes the key.
   InfluenceOptions Scalar;
   Scalar.MaxVectorWidth = 1;

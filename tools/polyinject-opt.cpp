@@ -93,7 +93,6 @@
 #include "service/Cache.h"
 #include "support/Status.h"
 #include "support/TextFile.h"
-#include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/Autotuner.h"
 
@@ -513,27 +512,19 @@ int main(int Argc, char **Argv) {
     return 2;
   }
   // Both flags resolve through the target registry; --gpu=PRESET is the
-  // historical spelling of --target=PRESET. A resolved GPU-analytic
-  // target also sets Options.Gpu, so influence heuristics and anything
-  // else reading the machine model see the chosen preset.
-  GpuModel Gpu;
+  // historical spelling of --target=PRESET.
   std::shared_ptr<const target::TargetModel> Target;
   {
     const bool FromTarget = !TargetSpec.empty();
     const std::string &Spec = FromTarget ? TargetSpec : GpuPreset;
     if (!Spec.empty()) {
       std::string Err;
-      std::shared_ptr<target::TargetModel> T =
-          target::resolveTarget(Spec, &Err);
-      if (!T) {
+      Target = target::resolveTarget(Spec, &Err);
+      if (!Target) {
         std::fprintf(stderr, "error: %s: %s\n",
                      FromTarget ? "--target" : "--gpu", Err.c_str());
         return 2;
       }
-      if (const auto *G =
-              dynamic_cast<const target::GpuAnalyticTarget *>(T.get()))
-        Gpu = G->model();
-      Target = std::move(T);
     }
   }
 
@@ -603,7 +594,6 @@ int main(int Argc, char **Argv) {
     Options.Validate = Validate;
     Options.Sched.UseFeautrierFallback = Feautrier;
     Options.Budget = Budget;
-    Options.Gpu = Gpu;
     Options.Target = Target;
     Options.Cache = Cache.get();
     Options.Tuner = Tuner.get();
@@ -644,7 +634,6 @@ int main(int Argc, char **Argv) {
   Options.Validate = Validate;
   Options.Sched.UseFeautrierFallback = Feautrier;
   Options.Budget = Budget;
-  Options.Gpu = Gpu;
   Options.Target = Target;
   Options.Cache = Cache.get();
   Options.Tuner = Tuner.get();

@@ -27,7 +27,8 @@
 //     --target=NAME|FILE.ptgt  backend target: built-in name (v100,
 //                              a100, p100, cpu-simd) or a calibrated
 //                              .ptgt file; for GPU presets identical
-//                              to --gpu
+//                              to --gpu (the two are mutually
+//                              exclusive)
 //     --chaos=SEED             run the chaos harness instead of serving
 //     --chaos-requests=N       chaos request count (default 200)
 //
@@ -42,10 +43,8 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "gpusim/GpuModel.h"
 #include "obs/Journal.h"
 #include "service/Daemon.h"
-#include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 
 #include <csignal>
@@ -80,6 +79,8 @@ int main(int Argc, char **Argv) {
   service::DaemonConfig Cfg;
   Cfg.Cache.Stripes = 8;
   std::string JournalPath;
+  const char *GpuPreset = nullptr;
+  const char *TargetSpec = nullptr;
   bool Chaos = false;
   std::uint64_t ChaosSeed = 0;
   std::size_t ChaosRequests = 200;
@@ -119,24 +120,10 @@ int main(int Argc, char **Argv) {
       Cfg.TimingInResponses = true;
     } else if (std::strncmp(Arg, "--journal=", 10) == 0) {
       JournalPath = Arg + 10;
-    } else if (std::strncmp(Arg, "--gpu=", 6) == 0 ||
-               std::strncmp(Arg, "--target=", 9) == 0) {
-      // Both spellings resolve through the target registry; --gpu is
-      // the historical name for GPU presets.
-      bool FromTarget = Arg[2] == 't';
-      const char *Spec = Arg + (FromTarget ? 9 : 6);
-      std::string Err;
-      std::shared_ptr<target::TargetModel> T =
-          target::resolveTarget(Spec, &Err);
-      if (!T) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     FromTarget ? "--target" : "--gpu", Err.c_str());
-        return 1;
-      }
-      if (const auto *G =
-              dynamic_cast<const target::GpuAnalyticTarget *>(T.get()))
-        Cfg.Pipeline.Gpu = G->model();
-      Cfg.Pipeline.Target = std::move(T);
+    } else if (std::strncmp(Arg, "--gpu=", 6) == 0) {
+      GpuPreset = Arg + 6;
+    } else if (std::strncmp(Arg, "--target=", 9) == 0) {
+      TargetSpec = Arg + 9;
     } else if (std::strncmp(Arg, "--chaos=", 8) == 0) {
       Chaos = true;
       ChaosSeed = std::strtoull(Arg + 8, nullptr, 10);
@@ -144,6 +131,26 @@ int main(int Argc, char **Argv) {
       ChaosRequests = std::strtoul(Arg + 17, nullptr, 10);
     } else {
       printUsage(Argv[0]);
+      return 1;
+    }
+  }
+
+  if (GpuPreset && TargetSpec) {
+    std::fprintf(stderr, "error: --gpu and --target are mutually "
+                         "exclusive (use --target=%s)\n",
+                 TargetSpec);
+    return 1;
+  }
+  // Both flags resolve through the target registry; --gpu=PRESET is the
+  // historical spelling of --target=PRESET.
+  if (GpuPreset || TargetSpec) {
+    const bool FromTarget = TargetSpec != nullptr;
+    std::string Err;
+    Cfg.Pipeline.Target =
+        target::resolveTarget(FromTarget ? TargetSpec : GpuPreset, &Err);
+    if (!Cfg.Pipeline.Target) {
+      std::fprintf(stderr, "error: %s: %s\n",
+                   FromTarget ? "--target" : "--gpu", Err.c_str());
       return 1;
     }
   }

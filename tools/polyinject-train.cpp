@@ -55,7 +55,6 @@
 #include "ir/Parser.h"
 #include "model/Dataset.h"
 #include "model/GbStumps.h"
-#include "target/GpuAnalyticTarget.h"
 #include "target/Target.h"
 #include "tune/SearchSpace.h"
 
@@ -211,16 +210,11 @@ int main(int Argc, char **Argv) {
   PipelineOptions Base;
   if (!TargetSpec.empty()) {
     std::string Err;
-    std::shared_ptr<target::TargetModel> T =
-        target::resolveTarget(TargetSpec, &Err);
-    if (!T) {
+    Base.Target = target::resolveTarget(TargetSpec, &Err);
+    if (!Base.Target) {
       std::fprintf(stderr, "error: --target: %s\n", Err.c_str());
       return 2;
     }
-    if (const auto *G =
-            dynamic_cast<const target::GpuAnalyticTarget *>(T.get()))
-      Base.Gpu = G->model();
-    Base.Target = std::move(T);
   }
 
   // Assemble the dataset: load, build, or both (loaded samples must
