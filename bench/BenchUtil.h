@@ -49,7 +49,7 @@ inline SuiteResult measureSuite(const NetworkSuite &Suite,
   return R;
 }
 
-/// Operator families shared by the perf benchmarks: four structurally
+/// Operator families of the LP benchmark (bench_lp): four structurally
 /// different shapes (fusable chain, hostile layout, the paper's fused
 /// tensor expression, a reduce tail) parameterized by problem size.
 inline Kernel kernelForFamily(int Family, Int N) {
@@ -76,41 +76,6 @@ inline const char *familyName(int Family) {
   default:
     return "reduce";
   }
-}
-
-/// The same corpus pinj-gen emits (tools/kernels/), built in-process.
-/// Shared by the autotuning benchmarks (bench_tune, bench_surrogate) so
-/// their gates measure the same operator population. \p Limit truncates
-/// to the first N operators (0 keeps all).
-inline std::vector<Kernel> tuneBenchCorpus(unsigned Limit) {
-  std::vector<Kernel> Corpus;
-  Corpus.push_back(makeFusedMulSubMulTensorAdd(64));
-  Corpus.push_back(makeFusedMulSubMulTensorAdd(96));
-  Corpus.push_back(makeElementwiseChain("ew_chain_short", 64, 128, 2, 1));
-  Corpus.push_back(makeElementwiseChain("ew_chain_mid", 96, 96, 4, 2));
-  Corpus.push_back(makeElementwiseChain("ew_chain_long", 64, 192, 6, 3));
-  Corpus.push_back(makeElementwiseChain("ew_chain_wide", 32, 256, 3, 4));
-  Corpus.push_back(makeBiasActivation("bias_relu", 64, 128, 1));
-  Corpus.push_back(makeBiasActivation("bias_act_2", 96, 64, 2));
-  Corpus.push_back(makeBiasActivation("bias_act_3", 128, 96, 3));
-  Corpus.push_back(makeHostileOrderCopy("hostile_copy_a", 64, 96, 1));
-  Corpus.push_back(makeHostileOrderCopy("hostile_copy_b", 96, 128, 2));
-  Corpus.push_back(
-      makeHostileOrderPermute3D("hostile_permute_a", 8, 32, 48, 1));
-  Corpus.push_back(
-      makeHostileOrderPermute3D("hostile_permute_b", 16, 24, 32, 2));
-  Corpus.push_back(makeMiddlePermuted3D("middle_permuted_a", 8, 24, 64, 1));
-  Corpus.push_back(makeMiddlePermuted3D("middle_permuted_b", 12, 16, 96, 2));
-  Corpus.push_back(makeReduceTail("reduce_tail_a", 64, 128, 1));
-  Corpus.push_back(makeReduceTail("reduce_tail_b", 96, 96, 2));
-  Corpus.push_back(makeSoftmaxLike("softmax_like_a", 48, 96));
-  Corpus.push_back(makeSoftmaxLike("softmax_like_b", 64, 64));
-  Corpus.push_back(makeProducerConsumerPair("prodcons_a", 64, 96, 1));
-  Corpus.push_back(makeProducerConsumerPair("prodcons_b", 96, 64, 2));
-  Corpus.push_back(makeElementwiseChain("ew_chain_tail", 48, 160, 5, 5));
-  if (Limit && Limit < Corpus.size())
-    Corpus.resize(Limit);
-  return Corpus;
 }
 
 inline double geomean(const std::vector<double> &Values) {

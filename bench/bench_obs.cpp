@@ -38,45 +38,6 @@ double nowMs() {
       .count();
 }
 
-/// The full factory corpus (mirrors bench_service's; size capped by
-/// --ops). The whole corpus keeps each timed rep large enough that the
-/// scheduler-noise floor of a shared machine stays well under the
-/// overhead budget being measured.
-std::vector<service::BatchJob> buildJobs(unsigned Limit) {
-  std::vector<Kernel> Corpus;
-  Corpus.push_back(makeFusedMulSubMulTensorAdd(64));
-  Corpus.push_back(makeFusedMulSubMulTensorAdd(96));
-  Corpus.push_back(makeElementwiseChain("ew_chain_short", 64, 128, 2, 1));
-  Corpus.push_back(makeElementwiseChain("ew_chain_mid", 96, 96, 4, 2));
-  Corpus.push_back(makeElementwiseChain("ew_chain_long", 64, 192, 6, 3));
-  Corpus.push_back(makeElementwiseChain("ew_chain_wide", 32, 256, 3, 4));
-  Corpus.push_back(makeBiasActivation("bias_relu", 64, 128, 1));
-  Corpus.push_back(makeBiasActivation("bias_act_2", 96, 64, 2));
-  Corpus.push_back(makeBiasActivation("bias_act_3", 128, 96, 3));
-  Corpus.push_back(makeHostileOrderCopy("hostile_copy_a", 64, 96, 1));
-  Corpus.push_back(makeHostileOrderCopy("hostile_copy_b", 96, 128, 2));
-  Corpus.push_back(
-      makeHostileOrderPermute3D("hostile_permute_a", 8, 32, 48, 1));
-  Corpus.push_back(
-      makeHostileOrderPermute3D("hostile_permute_b", 16, 24, 32, 2));
-  Corpus.push_back(makeMiddlePermuted3D("middle_permuted_a", 8, 24, 64, 1));
-  Corpus.push_back(makeMiddlePermuted3D("middle_permuted_b", 12, 16, 96, 2));
-  Corpus.push_back(makeReduceTail("reduce_tail_a", 64, 128, 1));
-  Corpus.push_back(makeReduceTail("reduce_tail_b", 96, 96, 2));
-  Corpus.push_back(makeSoftmaxLike("softmax_like_a", 48, 96));
-  Corpus.push_back(makeSoftmaxLike("softmax_like_b", 64, 64));
-  Corpus.push_back(makeProducerConsumerPair("prodcons_a", 64, 96, 1));
-  Corpus.push_back(makeProducerConsumerPair("prodcons_b", 96, 64, 2));
-  Corpus.push_back(makeElementwiseChain("ew_chain_tail", 48, 160, 5, 5));
-  if (Limit && Limit < Corpus.size())
-    Corpus.resize(Limit);
-  std::vector<service::BatchJob> Jobs;
-  Jobs.reserve(Corpus.size());
-  for (Kernel &K : Corpus)
-    Jobs.push_back(service::BatchJob{std::move(K)});
-  return Jobs;
-}
-
 double median(std::vector<double> V) {
   std::sort(V.begin(), V.end());
   std::size_t N = V.size();
@@ -134,7 +95,11 @@ int main(int Argc, char **Argv) {
   if (Reps == 0)
     Reps = 1;
 
-  std::vector<service::BatchJob> Jobs = buildJobs(Limit);
+  // The whole corpus keeps each timed rep large enough that the noise
+  // floor of a shared machine stays well under the budget measured.
+  std::vector<service::BatchJob> Jobs;
+  for (Kernel &K : makeCorpus(Limit))
+    Jobs.push_back(service::BatchJob{std::move(K)});
   std::printf("observability overhead gate: %zu operators, %u reps, "
               "%.1f%% budget\n\n",
               Jobs.size(), Reps, MaxOverheadPct);

@@ -122,7 +122,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::vector<Kernel> Corpus = tuneBenchCorpus(Limit);
+  std::vector<Kernel> Corpus = makeCorpus(Limit);
   tune::SearchSpace Space = tune::defaultSearchSpace();
   unsigned Jobs = std::max(1u, std::thread::hardware_concurrency());
 

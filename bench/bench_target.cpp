@@ -90,7 +90,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  std::vector<Kernel> Corpus = tuneBenchCorpus(Limit);
+  std::vector<Kernel> Corpus = makeCorpus(Limit);
   std::vector<std::string> Names = target::builtinTargetNames();
   tune::SearchSpace Space = tune::defaultSearchSpace();
 

@@ -72,7 +72,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  std::vector<Kernel> Corpus = tuneBenchCorpus(Limit);
+  std::vector<Kernel> Corpus = makeCorpus(Limit);
   std::filesystem::path DbDir =
       std::filesystem::temp_directory_path() /
       ("bench_tune-" + std::to_string(::getpid()));

@@ -212,6 +212,31 @@ Span &Span::arg(const char *Key, double Value) {
   return addArg(Key, json::number(Value), /*IsString=*/false);
 }
 
+std::map<std::string, SpanLayer>
+obs::foldSpans(const std::vector<TraceEvent> &Events) {
+  std::map<std::string, SpanLayer> Layers;
+  // Per thread, the spans enclosing the current one. Events arrive
+  // parents first: after popping the same depth or deeper, a recorded
+  // parent is on top.
+  std::map<unsigned, std::vector<const TraceEvent *>> Open;
+  for (const TraceEvent &E : Events) {
+    std::vector<const TraceEvent *> &Chain = Open[E.Tid];
+    while (!Chain.empty() && Chain.back()->Depth >= E.Depth)
+      Chain.pop_back();
+    if (E.Closed) {
+      SpanLayer &L = Layers[E.Name];
+      ++L.Count;
+      L.TotalUs += E.DurUs;
+      L.SelfUs += E.DurUs;
+      const TraceEvent *Parent = Chain.empty() ? nullptr : Chain.back();
+      if (Parent && Parent->Closed && Parent->Depth + 1 == E.Depth)
+        Layers[Parent->Name].SelfUs -= E.DurUs;
+    }
+    Chain.push_back(&E);
+  }
+  return Layers;
+}
+
 namespace {
 
 /// POLYINJECT_TRACE=1 turns on the human-readable trace at startup — the

@@ -32,6 +32,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -132,6 +134,21 @@ private:
 };
 
 inline Tracer &tracer() { return Tracer::get(); }
+
+/// What the spans of one name add up to in a trace. Self time is the
+/// duration minus that of the direct children (one level deeper on the
+/// same thread), so self times add up to the traced wall time.
+struct SpanLayer {
+  std::uint64_t Count = 0; ///< Closed spans.
+  double TotalUs = 0;
+  double SelfUs = 0;
+};
+
+/// Folds \p Events (Tracer::events() order) into one SpanLayer per span
+/// name. Open spans are skipped; a span whose parent was not recorded
+/// counts as a root.
+std::map<std::string, SpanLayer>
+foldSpans(const std::vector<TraceEvent> &Events);
 
 /// A scoped span. Construct on the stack; destruction closes the span.
 /// When tracing is disabled, construction is a single branch and arg()

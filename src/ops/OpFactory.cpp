@@ -204,3 +204,32 @@ Kernel pinj::makeProducerConsumerPair(const std::string &Name, Int Rows,
       .op(pickBinary(R));
   return B.build();
 }
+
+std::vector<Kernel> pinj::makeCorpus(unsigned Limit) {
+  std::vector<Kernel> Corpus = {
+      makeFusedMulSubMulTensorAdd(64),
+      makeFusedMulSubMulTensorAdd(96),
+      makeElementwiseChain("ew_chain_short", 64, 128, 2, 1),
+      makeElementwiseChain("ew_chain_mid", 96, 96, 4, 2),
+      makeElementwiseChain("ew_chain_long", 64, 192, 6, 3),
+      makeElementwiseChain("ew_chain_wide", 32, 256, 3, 4),
+      makeBiasActivation("bias_relu", 64, 128, 1),
+      makeBiasActivation("bias_act_2", 96, 64, 2),
+      makeBiasActivation("bias_act_3", 128, 96, 3),
+      makeHostileOrderCopy("hostile_copy_a", 64, 96, 1),
+      makeHostileOrderCopy("hostile_copy_b", 96, 128, 2),
+      makeHostileOrderPermute3D("hostile_permute_a", 8, 32, 48, 1),
+      makeHostileOrderPermute3D("hostile_permute_b", 16, 24, 32, 2),
+      makeMiddlePermuted3D("middle_permuted_a", 8, 24, 64, 1),
+      makeMiddlePermuted3D("middle_permuted_b", 12, 16, 96, 2),
+      makeReduceTail("reduce_tail_a", 64, 128, 1),
+      makeReduceTail("reduce_tail_b", 96, 96, 2),
+      makeSoftmaxLike("softmax_like_a", 48, 96),
+      makeSoftmaxLike("softmax_like_b", 64, 64),
+      makeProducerConsumerPair("prodcons_a", 64, 96, 1),
+      makeProducerConsumerPair("prodcons_b", 96, 64, 2),
+      makeElementwiseChain("ew_chain_tail", 48, 160, 5, 5)};
+  if (Limit && Limit < Corpus.size())
+    Corpus.resize(Limit);
+  return Corpus;
+}

@@ -21,6 +21,8 @@
 
 #include "ir/Builder.h"
 
+#include <vector>
+
 namespace pinj {
 
 /// The paper's running example, fused_mul_sub_mul_tensoradd from BERT
@@ -74,6 +76,12 @@ Kernel makeSoftmaxLike(const std::string &Name, Int Rows, Int Cols);
 /// population of MobileNet-like networks).
 Kernel makeProducerConsumerPair(const std::string &Name, Int Rows,
                                 Int Cols, unsigned Seed);
+
+/// The 22-operator corpus: every family above at modest shapes and
+/// several seeds, in a fixed order (pinj-gen dumps it as tools/kernels/).
+/// Both running-example sizes keep the factory name. \p Limit keeps the
+/// first N operators (0 keeps all).
+std::vector<Kernel> makeCorpus(unsigned Limit = 0);
 
 } // namespace pinj
 

@@ -338,8 +338,6 @@ void ScheduleCache::insertMemory(const Fingerprint &Key,
 
 void ScheduleCache::quarantineRejected(const std::string &Path,
                                        const std::string &Why, Shard &S) {
-  if (!Cfg.QuarantineRejects)
-    return;
   std::string Dest = quarantineFile(Cfg.DiskDir, Path, Why);
   if (Dest.empty())
     return;

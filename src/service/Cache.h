@@ -97,9 +97,6 @@ public:
     /// entry size); 0 means unlimited. An entry larger than its shard's
     /// slice is served but not kept in memory.
     std::size_t MemoryCapBytes = 0;
-    /// Move rejected disk entries into <dir>/quarantine/ so each corrupt
-    /// file is rejected once, not on every subsequent miss.
-    bool QuarantineRejects = true;
   };
 
   ScheduleCache();

@@ -235,8 +235,9 @@ TEST_P(BudgetStress, PipelineAlwaysReturnsValidReport) {
   EXPECT_TRUE(scheduleIsSemanticallyEqual(K, R.Infl.Sched))
       << K.Name << " " << Site;
   // Anything that ran below full fidelity must be on the record.
-  if (!R.Isl.Outcome.ok() || !R.Novec.Outcome.ok() || !R.Infl.Outcome.ok())
+  if (!R.Isl.Outcome.ok() || !R.Novec.Outcome.ok() || !R.Infl.Outcome.ok()) {
     EXPECT_TRUE(R.degraded()) << K.Name << " " << Site;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BudgetStress, ::testing::Range(1, 31));

@@ -240,8 +240,9 @@ TEST(RationalFastPath, ForcedWideAgreesWithFastPath) {
     rational::ScopedForceWide Wide;
     EXPECT_EQ(FastSum, Rational(A, B) + Rational(C, E));
     EXPECT_EQ(FastProd, Rational(A, B) * Rational(C, E));
-    if (C != 0)
+    if (C != 0) {
       EXPECT_EQ(FastDiv, Rational(A, B) / Rational(C, E));
+    }
   }
 }
 

@@ -191,6 +191,60 @@ TEST(Trace, ResetDropsEventsAndSurvivesOpenSpan) {
   EXPECT_TRUE(obs::tracer().events().empty());
 }
 
+TEST(Trace, FoldSubtractsDirectChildrenOnTheSameThread) {
+  auto Ev = [](const char *Name, unsigned Depth, unsigned Tid, double Dur,
+               bool Closed = true) {
+    obs::TraceEvent E;
+    E.Name = Name;
+    E.Depth = Depth;
+    E.Tid = Tid;
+    E.DurUs = Dur;
+    E.Closed = Closed;
+    return E;
+  };
+  // Thread 1: op(100) > [ilp(30) > ilp(10)], [sim(20)]; a second op(50)
+  // with no children. Thread 2 interleaves a root ilp(7) whose
+  // depth-0 position must not be taken as a child of thread 1's op, and
+  // an orphan sim at depth 3 whose parent was never recorded.
+  std::vector<obs::TraceEvent> Events = {
+      Ev("op", 0, 1, 100), Ev("ilp", 1, 1, 30), Ev("ilp", 0, 2, 7),
+      Ev("ilp", 2, 1, 10), Ev("sim", 1, 1, 20), Ev("op", 0, 1, 50),
+      Ev("sim", 3, 2, 4),  Ev("open", 1, 1, 0, /*Closed=*/false)};
+  std::map<std::string, obs::SpanLayer> Layers = obs::foldSpans(Events);
+  ASSERT_EQ(Layers.size(), 3u);
+  EXPECT_EQ(Layers["op"].Count, 2u);
+  EXPECT_DOUBLE_EQ(Layers["op"].TotalUs, 150);
+  EXPECT_DOUBLE_EQ(Layers["op"].SelfUs, 100); // 150 - 30 - 20
+  EXPECT_EQ(Layers["ilp"].Count, 3u);
+  EXPECT_DOUBLE_EQ(Layers["ilp"].TotalUs, 47);
+  EXPECT_DOUBLE_EQ(Layers["ilp"].SelfUs, 37); // 30 - 10, 10, 7
+  EXPECT_EQ(Layers["sim"].Count, 2u);
+  EXPECT_DOUBLE_EQ(Layers["sim"].SelfUs, 24);
+}
+
+TEST(Trace, FoldOfRecordedSpansAddsUpToTheRoots) {
+  TracerGuard Guard;
+  {
+    obs::Span Outer("outer");
+    { obs::Span A("child"); }
+    {
+      obs::Span B("child");
+      { obs::Span C("grandchild"); }
+    }
+  }
+  std::map<std::string, obs::SpanLayer> Layers =
+      obs::foldSpans(obs::tracer().events());
+  ASSERT_EQ(Layers.size(), 3u);
+  EXPECT_EQ(Layers["child"].Count, 2u);
+  double SelfSum = 0;
+  for (const auto &[Name, L] : Layers) {
+    EXPECT_GE(L.SelfUs, -1e-6) << Name;
+    EXPECT_LE(L.SelfUs, L.TotalUs + 1e-6) << Name;
+    SelfSum += L.SelfUs;
+  }
+  EXPECT_NEAR(SelfSum, Layers["outer"].TotalUs, 1e-6);
+}
+
 //===----------------------------------------------------------------------===//
 // JSON parser
 //===----------------------------------------------------------------------===//

@@ -12,7 +12,6 @@
 #include "pipeline/Pipeline.h"
 #include "sched/Scheduler.h"
 #include "TestKernels.h"
-#include "../bench/BenchUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -106,12 +105,12 @@ TEST(TargetRegistry, UnknownTargetDiagnosticListsAvailable) {
 // GPU differential: the refactor must be bit-identical
 //===----------------------------------------------------------------------===//
 
-// Over the full tuning bench corpus and every GPU preset,
+// Over the operator corpus and every GPU preset,
 // GpuAnalyticTarget must reproduce the gpusim model — the sector
 // transaction walk followed by the analytic GPU time model — bit for
 // bit, on both the baseline and the influenced+vectorized mapping.
 TEST(TargetDifferential, GpuAnalyticMatchesGpusimModelBitExactly) {
-  std::vector<Kernel> Corpus = tuneBenchCorpus(0);
+  std::vector<Kernel> Corpus = makeCorpus();
   ASSERT_GE(Corpus.size(), 20u);
   std::vector<std::string> Presets = gpuModelPresetNames();
   ASSERT_EQ(Presets.size(), 3u);

@@ -408,8 +408,9 @@ TEST(StageMemo, MatchesFreshScoringOnEveryKernelAndBudget) {
     }
     // Each setup must see both outcomes, or it proves little.
     EXPECT_GT(Finite, 0u) << S.Name;
-    if (S.Name != Setups[0].Name)
+    if (S.Name != Setups[0].Name) {
       EXPECT_GT(Failed, 0u) << S.Name;
+    }
   }
 }
 
@@ -702,8 +703,9 @@ TEST(Strategy, ExhaustiveFindsTheGlobalOptimumOfTinySpace) {
   Evaluator Check(K, Base, Space, {});
   for (std::size_t I = 0; I < Space.size(); ++I) {
     double S = Check.evaluate({Space.candidateAt(I)})[0];
-    if (S != failedScore())
+    if (S != failedScore()) {
       EXPECT_LE(Best->TimeUs, S);
+    }
   }
 }
 
@@ -932,8 +934,9 @@ TEST(Autotuner, NeverSelectsWorseThanBaseline) {
     TunedConfig Chosen;
     ASSERT_TRUE(Tuner.tune(K, Tuned, Chosen)) << K.Name;
     EXPECT_FALSE(Chosen.FromDb);
-    if (std::isfinite(Baseline))
+    if (std::isfinite(Baseline)) {
       EXPECT_LE(Chosen.PredictedTimeUs, Baseline) << K.Name;
+    }
     if (Chosen.Encoding == "baseline")
       EXPECT_EQ(service::fingerprintOptions(Tuned),
                 service::fingerprintOptions(Base))

@@ -338,8 +338,8 @@ int main(int Argc, char **Argv) {
   unsigned MetricsIntervalMs = 0;
   std::string CacheDir;
   std::string OpsFilePath;
-  std::string GpuPreset;
-  std::string TargetSpec;
+  // Set but empty is an unknown target, not the default one.
+  std::optional<std::string> GpuPreset, TargetSpec;
   std::string AutotuneStrategy;
   std::string TuneSpaceName = "default";
   std::string TuningDbPath;
@@ -505,26 +505,23 @@ int main(int Argc, char **Argv) {
     Cache = std::make_unique<service::ScheduleCache>(CacheCfg);
   }
 
-  if (!GpuPreset.empty() && !TargetSpec.empty()) {
+  if (GpuPreset && TargetSpec) {
     std::fprintf(stderr, "error: --gpu and --target are mutually "
                          "exclusive (use --target=%s)\n",
-                 TargetSpec.c_str());
+                 TargetSpec->c_str());
     return 2;
   }
   // Both flags resolve through the target registry; --gpu=PRESET is the
   // historical spelling of --target=PRESET.
   std::shared_ptr<const target::TargetModel> Target;
-  {
-    const bool FromTarget = !TargetSpec.empty();
-    const std::string &Spec = FromTarget ? TargetSpec : GpuPreset;
-    if (!Spec.empty()) {
-      std::string Err;
-      Target = target::resolveTarget(Spec, &Err);
-      if (!Target) {
-        std::fprintf(stderr, "error: %s: %s\n",
-                     FromTarget ? "--target" : "--gpu", Err.c_str());
-        return 2;
-      }
+  if (GpuPreset || TargetSpec) {
+    std::string Err;
+    Target = target::resolveTarget(TargetSpec ? *TargetSpec : *GpuPreset,
+                                   &Err);
+    if (!Target) {
+      std::fprintf(stderr, "error: %s: %s\n",
+                   TargetSpec ? "--target" : "--gpu", Err.c_str());
+      return 2;
     }
   }
 

@@ -136,7 +136,8 @@ double spearman(const std::vector<double> &A, const std::vector<double> &B) {
 
 int main(int Argc, char **Argv) {
   std::string OutModelPath, TuningDbPath, OpsFilePath, DatasetPath;
-  std::string OutDatasetPath, EvalModelPath, TargetSpec;
+  std::string OutDatasetPath, EvalModelPath;
+  std::optional<std::string> TargetSpec; // Empty is an unknown target.
   std::string SpaceName = "default";
   unsigned Folds = 5;
   model::TrainConfig Train;
@@ -208,9 +209,9 @@ int main(int Argc, char **Argv) {
 
   // The backend target samples are scored under (see src/target/).
   PipelineOptions Base;
-  if (!TargetSpec.empty()) {
+  if (TargetSpec) {
     std::string Err;
-    Base.Target = target::resolveTarget(TargetSpec, &Err);
+    Base.Target = target::resolveTarget(*TargetSpec, &Err);
     if (!Base.Target) {
       std::fprintf(stderr, "error: --target: %s\n", Err.c_str());
       return 2;
