@@ -1,12 +1,15 @@
 //===- bench/bench_pipeline.cpp - Per-layer compile-cost ledger -----------===//
 //
-// Three serial passes over the corpus: cold (no cache), warm (every
-// lookup hits an in-memory ScheduleCache) and tune (greedy/64, a fresh
-// tuning database per round). Per pass: the wall time of 10 rounds after
-// a discarded warm-up, with tracing off; each layer's total and self time
-// over 10 traced rounds (obs::foldSpans), all with their noise floor (sd
-// / mean); and the work, every nonzero counter, histogram count and span
-// count, which every round must repeat exactly.
+// Three serial passes over the corpus: cold (no cache), warm (a fresh
+// ScheduleCache per round over a directory filled once, so every lookup
+// is a disk hit) and tune (greedy/64, a fresh tuning database per
+// round). Per pass: the wall time of 10 rounds after a discarded warm-up,
+// with tracing off; each layer's total and self time over 10 traced
+// rounds (obs::foldSpans), all with their noise floor (sd / mean); and
+// the work, every nonzero counter, histogram count and span count, which
+// every round must repeat exactly. Then the wall time of the cold corpus
+// through service::BatchCompiler at 1, 2, 4 and 8 workers, each of which
+// must do the cold pass's work.
 //
 //   bench_pipeline [--json=FILE]  measure, print, write the ledger
 //   bench_pipeline --check=FILE   run each pass once; exit 1 unless the
@@ -18,6 +21,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "ops/OpFactory.h"
+#include "service/BatchCompiler.h"
 #include "service/Cache.h"
 #include "support/TextFile.h"
 #include "tune/Autotuner.h"
@@ -26,7 +30,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <thread>
+#include <unistd.h>
 
 using namespace pinj;
 using obs::json::number;
@@ -36,6 +43,7 @@ namespace {
 constexpr unsigned Rounds = 10;
 
 using Counts = std::map<std::string, std::uint64_t>;
+using Work = std::map<std::string, Counts>;
 
 struct Pass {
   std::string Name;
@@ -46,7 +54,7 @@ struct Pass {
 /// (traced rounds only) "span_counts" to their nonzero entries.
 struct Round {
   double WallMs = 0;
-  std::map<std::string, Counts> Work;
+  Work Did;
   std::map<std::string, obs::SpanLayer> Layers;
 };
 
@@ -65,18 +73,40 @@ Round runRound(const Pass &P, bool Traced) {
 
   Round R;
   R.WallMs = Wall.count();
+  Counts &C = R.Did["counters"], &H = R.Did["histogram_counts"];
   for (const auto &[Name, Value] : Delta.Counters)
     if (Value)
-      R.Work["counters"][Name] = Value;
-  for (const auto &[Name, H] : Delta.Histograms)
-    if (H.Count)
-      R.Work["histogram_counts"][Name] = H.Count;
+      C[Name] = Value;
+  for (const auto &[Name, Hist] : Delta.Histograms)
+    if (Hist.Count)
+      H[Name] = Hist.Count;
   if (Traced) {
     R.Layers = obs::foldSpans(T.events());
     for (const auto &[Name, L] : R.Layers)
-      R.Work["span_counts"][Name] = L.Count;
+      R.Did["span_counts"][Name] = L.Count;
   }
   return R;
+}
+
+std::vector<Round> runRounds(const Pass &P, bool Traced, unsigned N) {
+  std::vector<Round> Out;
+  for (unsigned I = 0; I != N; ++I)
+    Out.push_back(runRound(P, Traced));
+  return Out;
+}
+
+/// \returns whether every round of \p Rs did \p Want's work (an untraced
+/// round has no span counts to compare); says so on stderr when not.
+bool didWork(const std::string &Name, const std::vector<Round> &Rs,
+             const Work &Want) {
+  for (const Round &R : Rs)
+    for (const auto &[Table, C] : R.Did)
+      if (C != Want.at(Table)) {
+        std::fprintf(stderr, "error: %s: the rounds did different work\n",
+                     Name.c_str());
+        return false;
+      }
+  return true;
 }
 
 struct Spread {
@@ -94,6 +124,20 @@ Spread spreadOf(const std::vector<double> &V) {
   return S;
 }
 
+/// The wall time of \p Timed without its first (warm-up) round, printed
+/// after \p Label and returned as a `"wall_ms"` JSON member.
+std::string wallOf(const std::vector<Round> &Timed, const std::string &Label,
+                   Spread &Wall) {
+  std::vector<double> WallMs;
+  for (unsigned I = 1; I != Timed.size(); ++I)
+    WallMs.push_back(Timed[I].WallMs);
+  Wall = spreadOf(WallMs);
+  std::printf("%-6s wall %8.2f ms  sd %6.2f ms  noise floor %4.1f%%",
+              Label.c_str(), Wall.Mean, Wall.Sd, Wall.floorPct());
+  return "\"wall_ms\": {\"mean\": " + number(Wall.Mean) +
+         ", \"sd\": " + number(Wall.Sd) + "}";
+}
+
 /// `"Key": {` with one `"name": value` line per row, at pass indent.
 std::string jsonTable(const std::string &Key,
                       const std::map<std::string, std::string> &Rows) {
@@ -106,34 +150,21 @@ std::string jsonTable(const std::string &Key,
   return Out + "\n      }";
 }
 
-/// Measures \p P, prints its ledger and appends it to \p Json. Fails
-/// when two rounds did different work.
-bool measure(const Pass &P, std::string &Json) {
-  std::vector<Round> Timed, Traced; // Timed[0] is the warm-up round.
-  for (unsigned I = 0; I != 2 * Rounds + 1; ++I)
-    (I <= Rounds ? Timed : Traced).push_back(runRound(P, I > Rounds));
-  const std::map<std::string, Counts> &Work = Traced.front().Work;
-  for (const std::vector<Round> *Series : {&Timed, &Traced})
-    for (const Round &R : *Series)
-      for (const auto &[Table, C] : R.Work)
-        if (C != Work.at(Table)) {
-          std::fprintf(stderr, "error: %s: the rounds did different work\n",
-                       P.Name.c_str());
-          return false;
-        }
+/// Measures \p P, prints its ledger and appends it to \p Json; \p Did
+/// receives its work. Fails when two rounds did different work.
+bool measure(const Pass &P, std::string &Json, Work &Did) {
+  std::vector<Round> Timed = runRounds(P, false, Rounds + 1),
+                     Traced = runRounds(P, true, Rounds);
+  Did = Traced.front().Did;
+  if (!didWork(P.Name, Timed, Did) || !didWork(P.Name, Traced, Did))
+    return false;
 
-  std::vector<double> WallMs;
-  for (unsigned I = 1; I != Timed.size(); ++I)
-    WallMs.push_back(Timed[I].WallMs);
-  Spread Wall = spreadOf(WallMs);
-  std::printf("%-5s wall %8.2f ms  sd %6.2f ms  noise floor %4.1f%%\n"
-              "  %-24s %7s %10s %10s %12s\n",
-              P.Name.c_str(), Wall.Mean, Wall.Sd, Wall.floorPct(), "layer",
-              "spans", "total ms", "self ms", "noise floor");
-  Json += "    \"" + P.Name + "\": {\n      \"wall_ms\": {\"mean\": " +
-          number(Wall.Mean) + ", \"sd\": " + number(Wall.Sd) + "}";
+  Spread Wall;
+  Json += "    \"" + P.Name + "\": {\n      " + wallOf(Timed, P.Name, Wall);
+  std::printf("\n  %-24s %7s %10s %10s %12s\n", "layer", "spans",
+              "total ms", "self ms", "noise floor");
   std::map<std::string, std::string> Layers;
-  for (const auto &[Name, Count] : Work.at("span_counts")) {
+  for (const auto &[Name, Count] : Did.at("span_counts")) {
     std::vector<double> TotalMs, SelfMs;
     for (const Round &R : Traced) {
       TotalMs.push_back(R.Layers.at(Name).TotalUs / 1000);
@@ -148,7 +179,7 @@ bool measure(const Pass &P, std::string &Json) {
                    ", \"self_sd_ms\": " + number(Self.Sd) + "}";
   }
   Json += jsonTable("layers", Layers);
-  for (const auto &[Table, C] : Work) {
+  for (const auto &[Table, C] : Did) {
     std::map<std::string, std::string> Rows;
     for (const auto &[Name, Value] : C)
       Rows[Name] = std::to_string(Value);
@@ -159,29 +190,81 @@ bool measure(const Pass &P, std::string &Json) {
   return true;
 }
 
-/// Prints every count of \p R that differs from the ledger's record
-/// \p Want of pass \p Name (a name on one side only differs too).
-/// \returns how many differ.
-unsigned diff(const std::string &Name, const obs::json::Value &Want,
-              const Round &R) {
-  unsigned Diffs = 0;
-  for (const auto &[Table, Got] : R.Work) {
-    Counts Names = Got;
-    for (const auto &Member : Want.at(Table).Members)
-      Names.emplace(Member.first, 0);
-    for (const auto &Entry : Names) {
-      const obs::json::Value *W = Want.at(Table).find(Entry.first);
-      auto G = Got.find(Entry.first);
-      std::string WantS = W ? number(W->Num) : "-";
-      std::string GotS =
-          G == Got.end() ? "-" : number(double(G->second));
-      if (WantS != GotS && ++Diffs)
-        std::printf("  %s %s %s: ledger %s, run %s\n", Name.c_str(),
-                    Table.c_str(), Entry.first.c_str(), WantS.c_str(),
-                    GotS.c_str());
-    }
+/// Measures every pass, then the cold corpus at 1/2/4/8 BatchCompiler
+/// workers, and writes the ledger to \p Path unless it is empty.
+int writeLedger(const std::vector<Pass> &Passes,
+                const std::vector<Kernel> &Corpus, const std::string &Path) {
+  std::printf("pipeline ledger: %zu operators; per pass 1 warm-up, %u "
+              "timed and %u traced rounds\n\n",
+              Corpus.size(), Rounds, Rounds);
+  std::string Json =
+      "{\n  \"rounds\": " + std::to_string(Rounds) + ",\n  \"passes\": {\n";
+  Work Cold, Did;
+  for (const Pass &P : Passes) {
+    if (!measure(P, Json, &P == &Passes.front() ? Cold : Did))
+      return 1;
+    Json += &P == &Passes.back() ? "\n  },\n  \"workers\": {" : ",\n";
   }
-  return Diffs;
+
+  std::printf("workers: the cold corpus through BatchCompiler, %u "
+              "hardware threads\n",
+              std::thread::hardware_concurrency());
+  std::vector<service::BatchJob> Jobs(Corpus.begin(), Corpus.end());
+  double Jobs1Ms = 0;
+  for (unsigned W : {1u, 2u, 4u, 8u}) {
+    Pass P{"jobs=" + std::to_string(W), [&Jobs, W] {
+             (void)service::BatchCompiler(PipelineOptions(), W).run(Jobs);
+           }};
+    std::vector<Round> Timed = runRounds(P, false, Rounds + 1);
+    if (!didWork(P.Name, Timed, Cold))
+      return 1;
+    Spread Wall;
+    Json += std::string(W == 1 ? "\n" : ",\n") + "    \"" +
+            std::to_string(W) + "\": {" + wallOf(Timed, P.Name, Wall) + "}";
+    Jobs1Ms = W == 1 ? Wall.Mean : Jobs1Ms;
+    std::printf("  %4.2fx vs jobs=1\n", Jobs1Ms / Wall.Mean);
+  }
+  Json += "\n  }\n}\n";
+  std::string Error;
+  if (!Path.empty() && !writeFileAtomic(Path, Json, &Error)) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return 1;
+  }
+  return 0;
+}
+
+/// Runs each pass once and prints every count that differs from the
+/// ledger at \p Path. Both sides hold only nonzero counts, so a name or
+/// a whole table on one side only reads as 0 on the other and differs.
+/// \returns 1 when any count differs.
+int check(const std::vector<Pass> &Passes, const std::string &Path) {
+  std::string Text, Error;
+  std::optional<obs::json::Value> Doc;
+  if (!readFile(Path, Text) || !(Doc = obs::json::parse(Text, Error))) {
+    std::fprintf(stderr, "error: cannot read %s %s\n", Path.c_str(),
+                 Error.c_str());
+    return 1;
+  }
+  unsigned Diffs = 0;
+  for (const Pass &P : Passes) {
+    Round R = runRound(P, /*Traced=*/true);
+    const obs::json::Value &Ledger = Doc->at("passes").at(P.Name);
+    unsigned Before = Diffs;
+    for (const char *Table : {"counters", "histogram_counts", "span_counts"}) {
+      Counts Want, &Got = R.Did[Table], Names = Got;
+      for (const auto &[Name, V] : Ledger.at(Table).Members)
+        Names[Name] = Want[Name] = V.Num;
+      for (const auto &Entry : Names)
+        if (Want[Entry.first] != Got[Entry.first] && ++Diffs)
+          std::printf("  %s %s %s: ledger %llu, run %llu\n", P.Name.c_str(),
+                      Table, Entry.first.c_str(),
+                      static_cast<unsigned long long>(Want[Entry.first]),
+                      static_cast<unsigned long long>(Got[Entry.first]));
+    }
+    std::printf("%-5s wall %.2f ms traced (not gated): work %s\n",
+                P.Name.c_str(), R.WallMs, Diffs > Before ? "DIFFERS" : "exact");
+  }
+  return Diffs ? 1 : 0;
 }
 
 } // namespace
@@ -207,13 +290,20 @@ int main(int Argc, char **Argv) {
     for (const Kernel &K : Corpus)
       (void)runOperator(K, O);
   };
-  service::ScheduleCache Cache;
-  PipelineOptions Cold, Warm;
-  Warm.Cache = &Cache;
-  CompileAll(Warm); // Fills the cache: every warm-pass lookup hits.
+  service::ScheduleCache::Config Disk;
+  Disk.DiskDir = (std::filesystem::temp_directory_path() /
+                  ("bench_pipeline-" + std::to_string(::getpid())))
+                     .string();
+  auto CompileWithCache = [&] {
+    service::ScheduleCache Cache(Disk); // Empty in memory.
+    PipelineOptions O;
+    O.Cache = &Cache;
+    CompileAll(O);
+  };
+  CompileWithCache(); // Fills the directory: every warm lookup hits there.
   const std::vector<Pass> Passes = {
-      {"cold", [&] { CompileAll(Cold); }},
-      {"warm", [&] { CompileAll(Warm); }},
+      {"cold", [&] { CompileAll(PipelineOptions()); }},
+      {"warm", CompileWithCache},
       {"tune", [&] {
          tune::TuningDb Db;
          tune::Autotuner::Config C;
@@ -225,39 +315,9 @@ int main(int Argc, char **Argv) {
          O.Tuner = &Tuner;
          CompileAll(O);
        }}};
-  if (!CheckPath.empty()) {
-    std::string Text, Error;
-    std::optional<obs::json::Value> Doc;
-    if (!readFile(CheckPath, Text) || !(Doc = obs::json::parse(Text, Error))) {
-      std::fprintf(stderr, "error: cannot read %s %s\n", CheckPath.c_str(),
-                   Error.c_str());
-      return 1;
-    }
-    unsigned Diffs = 0;
-    for (const Pass &P : Passes) {
-      Round R = runRound(P, /*Traced=*/true);
-      unsigned D = diff(P.Name, Doc->at("passes").at(P.Name), R);
-      std::printf("%-5s wall %.2f ms traced (not gated): work %s\n",
-                  P.Name.c_str(), R.WallMs, D ? "DIFFERS" : "exact");
-      Diffs += D;
-    }
-    return Diffs ? 1 : 0;
-  }
-
-  std::printf("pipeline ledger: %zu operators; per pass 1 warm-up, %u "
-              "timed and %u traced rounds\n\n",
-              Corpus.size(), Rounds, Rounds);
-  std::string Json =
-      "{\n  \"rounds\": " + std::to_string(Rounds) + ",\n  \"passes\": {\n";
-  for (const Pass &P : Passes) {
-    if (!measure(P, Json))
-      return 1;
-    Json += &P == &Passes.back() ? "\n  }\n}\n" : ",\n";
-  }
-  std::string Error;
-  if (!JsonPath.empty() && !writeFileAtomic(JsonPath, Json, &Error)) {
-    std::fprintf(stderr, "error: %s\n", Error.c_str());
-    return 1;
-  }
-  return 0;
+  int Status = CheckPath.empty() ? writeLedger(Passes, Corpus, JsonPath)
+                                 : check(Passes, CheckPath);
+  std::error_code Ec;
+  std::filesystem::remove_all(Disk.DiskDir, Ec);
+  return Status;
 }
