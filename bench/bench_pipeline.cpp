@@ -7,16 +7,24 @@
 // with tracing off; each layer's total and self time over 10 traced
 // rounds (obs::foldSpans), all with their noise floor (sd / mean); and
 // the work, every nonzero counter, histogram count and span count, which
-// every round must repeat exactly. Then the wall time of the cold corpus
-// through service::BatchCompiler at 1, 2, 4 and 8 workers, each of which
-// must do the cold pass's work.
+// every round must repeat exactly. A fourth pass, journal, compiles the
+// cold corpus with the journal, its file sink and an exposition writer
+// on; it must do the cold pass's work and drop no record, and its cost
+// is estimated, not timed: records x the cost of one emit + 10 renders/s
+// x the cost of one exposition render, over the cold pass's wall time.
+// Both modes fail above the 5% budget. Then the wall time of the cold
+// corpus through service::BatchCompiler at 1, 2, 4 and 8 workers, each
+// of which must do the cold pass's work.
 //
 //   bench_pipeline [--json=FILE]  measure, print, write the ledger
 //   bench_pipeline --check=FILE   run each pass once; exit 1 unless the
 //                                 work equals FILE's (wall not gated)
+//                                 and the journal is within budget
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Exposition.h"
+#include "obs/Journal.h"
 #include "obs/Json.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -26,14 +34,18 @@
 #include "support/TextFile.h"
 #include "tune/Autotuner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <optional>
 #include <thread>
 #include <unistd.h>
+#include <variant>
 
 using namespace pinj;
 using obs::json::number;
@@ -41,6 +53,17 @@ using obs::json::number;
 namespace {
 
 constexpr unsigned Rounds = 10;
+/// The journal's cost contract: fully on, it may cost this share of the
+/// cold pass's wall time.
+constexpr double JournalBudgetPct = 5;
+/// A production scrape cadence for the journal pass's exposition writer.
+constexpr unsigned ExpositionIntervalMs = 100;
+
+/// The ledger's temp directory, removed on exit: the warm pass's cache
+/// directory and the journal pass's sinks.
+const std::filesystem::path Scratch =
+    std::filesystem::temp_directory_path() /
+    ("bench_pipeline-" + std::to_string(::getpid()));
 
 using Counts = std::map<std::string, std::uint64_t>;
 using Work = std::map<std::string, Counts>;
@@ -48,14 +71,45 @@ using Work = std::map<std::string, Counts>;
 struct Pass {
   std::string Name;
   std::function<void()> Compile;
+  bool Journaled = false; ///< Compile under JournalOn.
 };
 
 /// One round of a pass. Work maps "counters", "histogram_counts" and
-/// (traced rounds only) "span_counts" to their nonzero entries.
+/// (traced rounds only) "span_counts" to their nonzero entries, and
+/// (journaled rounds only) "journal_records" to the record count per
+/// type plus "dropped", the journal's drop count, even when 0.
 struct Round {
   double WallMs = 0;
   Work Did;
   std::map<std::string, obs::SpanLayer> Layers;
+  std::vector<obs::JournalRecord> Records; ///< Journaled rounds only.
+};
+
+/// For its lifetime, turns on what a fleet leaves on: the journal (its
+/// ring emptied first) with a file sink, and an exposition writer.
+class JournalOn {
+public:
+  JournalOn() {
+    obs::Journal &J = obs::journal();
+    std::string Error;
+    J.reset();
+    J.enable();
+    if (!J.openFile((Scratch / "journal.jsonl").string(), Error)) {
+      std::fprintf(stderr, "error: %s\n", Error.c_str());
+      std::exit(1);
+    }
+    Writer.start((Scratch / "metrics.prom").string(), ExpositionIntervalMs);
+  }
+  JournalOn(const JournalOn &) = delete;
+  JournalOn &operator=(const JournalOn &) = delete;
+  ~JournalOn() {
+    Writer.stop();
+    obs::journal().closeFile();
+    obs::journal().disable();
+  }
+
+private:
+  obs::ExpositionWriter Writer;
 };
 
 Round runRound(const Pass &P, bool Traced) {
@@ -63,12 +117,16 @@ Round runRound(const Pass &P, bool Traced) {
   T.reset();
   if (Traced)
     T.enable(obs::Tracer::Json);
+  std::optional<JournalOn> On;
+  if (P.Journaled)
+    On.emplace();
   obs::MetricsSnapshot Before = obs::metrics().snapshot();
   auto Start = std::chrono::steady_clock::now();
   P.Compile();
   std::chrono::duration<double, std::milli> Wall =
       std::chrono::steady_clock::now() - Start;
   obs::MetricsSnapshot Delta = obs::metrics().snapshot().since(Before);
+  On.reset();
   T.disable();
 
   Round R;
@@ -85,6 +143,13 @@ Round runRound(const Pass &P, bool Traced) {
     for (const auto &[Name, L] : R.Layers)
       R.Did["span_counts"][Name] = L.Count;
   }
+  if (P.Journaled) {
+    R.Records = obs::journal().snapshot();
+    Counts &J = R.Did["journal_records"];
+    J["dropped"] = obs::journal().dropped();
+    for (const obs::JournalRecord &Rec : R.Records)
+      ++J[Rec.Type];
+  }
   return R;
 }
 
@@ -95,13 +160,14 @@ std::vector<Round> runRounds(const Pass &P, bool Traced, unsigned N) {
   return Out;
 }
 
-/// \returns whether every round of \p Rs did \p Want's work (an untraced
-/// round has no span counts to compare); says so on stderr when not.
+/// \returns whether every round of \p Rs did \p Want's work in each
+/// table both count (an untraced round has no span counts, an unjournaled
+/// pass no records); says so on stderr when not.
 bool didWork(const std::string &Name, const std::vector<Round> &Rs,
              const Work &Want) {
   for (const Round &R : Rs)
     for (const auto &[Table, C] : R.Did)
-      if (C != Want.at(Table)) {
+      if (auto It = Want.find(Table); It != Want.end() && C != It->second) {
         std::fprintf(stderr, "error: %s: the rounds did different work\n",
                      Name.c_str());
         return false;
@@ -150,16 +216,153 @@ std::string jsonTable(const std::string &Key,
   return Out + "\n      }";
 }
 
+/// One jsonTable per table of \p Did.
+std::string jsonWork(const Work &Did) {
+  std::string Out;
+  for (const auto &[Table, C] : Did) {
+    std::map<std::string, std::string> Rows;
+    for (const auto &[Name, Value] : C)
+      Rows[Name] = std::to_string(Value);
+    Out += jsonTable(Table, Rows);
+  }
+  return Out;
+}
+
+/// The least over 5 runs of the mean time of a call, in us, when
+/// \p Call runs \p N times in a row.
+template <typename F> double bestOf5Us(unsigned N, F Call) {
+  double Best = INFINITY;
+  for (unsigned Run = 0; Run != 5; ++Run) {
+    auto Start = std::chrono::steady_clock::now();
+    for (unsigned I = 0; I != N; ++I)
+      Call(I);
+    std::chrono::duration<double, std::micro> Us =
+        std::chrono::steady_clock::now() - Start;
+    Best = std::min(Best, Us.count() / N);
+  }
+  return Best;
+}
+
+/// A journal record as its emit site built it: each field with the type
+/// it was given, recovered from its rendering.
+struct TypedRecord {
+  using Value = std::variant<std::string, bool, long long, double>;
+  std::string Type;
+  std::vector<std::pair<std::string, Value>> Fields;
+};
+
+TypedRecord typed(const obs::JournalRecord &R) {
+  TypedRecord T{R.Type, {}};
+  for (const obs::JournalField &F : R.Fields) {
+    char *End = nullptr;
+    long long Int = std::strtoll(F.Value.c_str(), &End, 10);
+    TypedRecord::Value V = Int;
+    if (F.IsString)
+      V = F.Value;
+    else if (F.Value == "true" || F.Value == "false")
+      V = F.Value == "true";
+    else if (*End)
+      V = std::strtod(F.Value.c_str(), nullptr);
+    T.Fields.push_back({F.Key, std::move(V)});
+  }
+  return T;
+}
+
+/// What the journal pass costs, estimated from its parts.
+struct JournalCost {
+  std::size_t Records = 0;
+  double RecordUs = 0; ///< One emit, with the file sink on.
+  double RenderUs = 0; ///< One exposition render and atomic write.
+  double ColdMs = 0;   ///< The cold pass's wall time.
+
+  static constexpr double RendersPerS = 1000.0 / ExpositionIntervalMs;
+  double pct() const {
+    return 100 * (Records * RecordUs + ColdMs / 1000 * RendersPerS * RenderUs) /
+           (ColdMs * 1000);
+  }
+  /// Prints the estimate with its inputs; \returns whether it is within
+  /// the budget.
+  bool print() const {
+    std::printf("journal overhead %.2f%% = (%zu records x %.2f us + %g "
+                "renders/s x %.1f us) / cold %.2f ms: %s the %g%% budget\n",
+                pct(), Records, RecordUs, RendersPerS, RenderUs, ColdMs,
+                pct() <= JournalBudgetPct ? "within" : "EXCEEDS",
+                JournalBudgetPct);
+    return pct() <= JournalBudgetPct;
+  }
+};
+
+/// Estimates what journaling \p Records, captured from one journal pass
+/// round, costs over a cold pass of \p ColdMs: re-emits them through
+/// obs::JournalEvent under JournalOn (at least 100k emits per run), and
+/// renders and writes the exposition 100 times per run.
+JournalCost journalCost(const std::vector<obs::JournalRecord> &Records,
+                        double ColdMs) {
+  JournalCost C;
+  C.Records = Records.size();
+  C.ColdMs = ColdMs;
+  if (!Records.empty()) {
+    std::vector<TypedRecord> Typed;
+    for (const obs::JournalRecord &R : Records)
+      Typed.push_back(typed(R));
+    unsigned Emits = (100000 + Typed.size() - 1) / Typed.size() * Typed.size();
+    JournalOn On;
+    obs::RequestScope Scope(obs::nextRequestId());
+    C.RecordUs = bestOf5Us(Emits, [&Typed](unsigned I) {
+      const TypedRecord &R = Typed[I % Typed.size()];
+      obs::JournalEvent E(R.Type.c_str());
+      for (const auto &[Key, Value] : R.Fields)
+        std::visit([&E, K = Key.c_str()](const auto &V) { E.field(K, V); },
+                   Value);
+    });
+  }
+  obs::journal().reset();
+  const std::string Path = (Scratch / "metrics.prom").string();
+  C.RenderUs = bestOf5Us(100, [&Path](unsigned) {
+    writeFileAtomic(Path, obs::metrics().renderExposition(), nullptr);
+  });
+  return C;
+}
+
+/// Runs the journaled pass \p P, which must repeat \p Cold's work and
+/// drop no record, estimates its cost over a cold pass of \p ColdMs,
+/// prints both and appends them to \p Json. Fails above the budget too.
+bool measureJournal(const Pass &P, const Work &Cold, double ColdMs,
+                    std::string &Json) {
+  std::vector<Round> Traced = runRounds(P, true, Rounds);
+  const Work &Did = Traced.front().Did;
+  if (!didWork(P.Name, Traced, Did) || !didWork(P.Name, Traced, Cold))
+    return false;
+  const Counts &Records = Did.at("journal_records");
+  if (Records.at("dropped")) {
+    std::fprintf(stderr, "error: %s: the journal dropped records\n",
+                 P.Name.c_str());
+    return false;
+  }
+  JournalCost C = journalCost(Traced.back().Records, ColdMs);
+  bool Within = C.print();
+  Json += "    \"" + P.Name + "\": {\n      \"overhead\": {\"pct\": " +
+          number(C.pct()) + ", \"budget_pct\": " + number(JournalBudgetPct) +
+          ", \"records\": " + std::to_string(C.Records) +
+          ", \"record_us\": " + number(C.RecordUs) +
+          ", \"renders_per_s\": " + number(JournalCost::RendersPerS) +
+          ", \"render_us\": " + number(C.RenderUs) +
+          ", \"cold_wall_ms\": " + number(C.ColdMs) + "}";
+  Json += jsonWork(Did) + "\n    }";
+  std::printf("\n");
+  return Within;
+}
+
 /// Measures \p P, prints its ledger and appends it to \p Json; \p Did
-/// receives its work. Fails when two rounds did different work.
-bool measure(const Pass &P, std::string &Json, Work &Did) {
+/// receives its work and \p Wall its wall time. Fails when two rounds
+/// did different work.
+bool measure(const Pass &P, std::string &Json, Work &Did, Spread &Wall) {
   std::vector<Round> Timed = runRounds(P, false, Rounds + 1),
                      Traced = runRounds(P, true, Rounds);
   Did = Traced.front().Did;
   if (!didWork(P.Name, Timed, Did) || !didWork(P.Name, Traced, Did))
     return false;
 
-  Spread Wall;
   Json += "    \"" + P.Name + "\": {\n      " + wallOf(Timed, P.Name, Wall);
   std::printf("\n  %-24s %7s %10s %10s %12s\n", "layer", "spans",
               "total ms", "self ms", "noise floor");
@@ -179,13 +382,7 @@ bool measure(const Pass &P, std::string &Json, Work &Did) {
                    ", \"self_sd_ms\": " + number(Self.Sd) + "}";
   }
   Json += jsonTable("layers", Layers);
-  for (const auto &[Table, C] : Did) {
-    std::map<std::string, std::string> Rows;
-    for (const auto &[Name, Value] : C)
-      Rows[Name] = std::to_string(Value);
-    Json += jsonTable(Table, Rows);
-  }
-  Json += "\n    }";
+  Json += jsonWork(Did) + "\n    }";
   std::printf("\n");
   return true;
 }
@@ -195,13 +392,17 @@ bool measure(const Pass &P, std::string &Json, Work &Did) {
 int writeLedger(const std::vector<Pass> &Passes,
                 const std::vector<Kernel> &Corpus, const std::string &Path) {
   std::printf("pipeline ledger: %zu operators; per pass 1 warm-up, %u "
-              "timed and %u traced rounds\n\n",
+              "timed and %u traced rounds (journaled: traced only)\n\n",
               Corpus.size(), Rounds, Rounds);
   std::string Json =
       "{\n  \"rounds\": " + std::to_string(Rounds) + ",\n  \"passes\": {\n";
   Work Cold, Did;
+  Spread ColdWall, Wall;
   for (const Pass &P : Passes) {
-    if (!measure(P, Json, &P == &Passes.front() ? Cold : Did))
+    bool First = &P == &Passes.front();
+    if (P.Journaled ? !measureJournal(P, Cold, ColdWall.Mean, Json)
+                    : !measure(P, Json, First ? Cold : Did,
+                               First ? ColdWall : Wall))
       return 1;
     Json += &P == &Passes.back() ? "\n  },\n  \"workers\": {" : ",\n";
   }
@@ -234,9 +435,11 @@ int writeLedger(const std::vector<Pass> &Passes,
 }
 
 /// Runs each pass once and prints every count that differs from the
-/// ledger at \p Path. Both sides hold only nonzero counts, so a name or
-/// a whole table on one side only reads as 0 on the other and differs.
-/// \returns 1 when any count differs.
+/// ledger at \p Path. Both sides hold only nonzero counts (and the
+/// journal's drop count), so a name or a whole table on one side only
+/// reads as 0 on the other and differs. Estimates the journaled pass's
+/// cost over an untraced cold round. \returns 1 when any count differs
+/// or the journal exceeds its budget.
 int check(const std::vector<Pass> &Passes, const std::string &Path) {
   std::string Text, Error;
   std::optional<obs::json::Value> Doc;
@@ -246,11 +449,14 @@ int check(const std::vector<Pass> &Passes, const std::string &Path) {
     return 1;
   }
   unsigned Diffs = 0;
+  bool Within = true;
+  double ColdMs = runRound(Passes.front(), /*Traced=*/false).WallMs;
   for (const Pass &P : Passes) {
     Round R = runRound(P, /*Traced=*/true);
     const obs::json::Value &Ledger = Doc->at("passes").at(P.Name);
     unsigned Before = Diffs;
-    for (const char *Table : {"counters", "histogram_counts", "span_counts"}) {
+    for (const char *Table : {"counters", "histogram_counts", "span_counts",
+                              "journal_records"}) {
       Counts Want, &Got = R.Did[Table], Names = Got;
       for (const auto &[Name, V] : Ledger.at(Table).Members)
         Names[Name] = Want[Name] = V.Num;
@@ -261,10 +467,16 @@ int check(const std::vector<Pass> &Passes, const std::string &Path) {
                       static_cast<unsigned long long>(Want[Entry.first]),
                       static_cast<unsigned long long>(Got[Entry.first]));
     }
-    std::printf("%-5s wall %.2f ms traced (not gated): work %s\n",
-                P.Name.c_str(), R.WallMs, Diffs > Before ? "DIFFERS" : "exact");
+    const char *Verdict = Diffs > Before ? "DIFFERS" : "exact";
+    if (P.Journaled) {
+      std::printf("%-7s work %s; ", P.Name.c_str(), Verdict);
+      Within &= journalCost(R.Records, ColdMs).print();
+    } else {
+      std::printf("%-7s wall %.2f ms traced (not gated): work %s\n",
+                  P.Name.c_str(), R.WallMs, Verdict);
+    }
   }
-  return Diffs ? 1 : 0;
+  return Diffs || !Within ? 1 : 0;
 }
 
 } // namespace
@@ -290,10 +502,10 @@ int main(int Argc, char **Argv) {
     for (const Kernel &K : Corpus)
       (void)runOperator(K, O);
   };
+  std::error_code Ec;
+  std::filesystem::create_directories(Scratch, Ec);
   service::ScheduleCache::Config Disk;
-  Disk.DiskDir = (std::filesystem::temp_directory_path() /
-                  ("bench_pipeline-" + std::to_string(::getpid())))
-                     .string();
+  Disk.DiskDir = (Scratch / "cache").string();
   auto CompileWithCache = [&] {
     service::ScheduleCache Cache(Disk); // Empty in memory.
     PipelineOptions O;
@@ -314,10 +526,10 @@ int main(int Argc, char **Argv) {
          PipelineOptions O;
          O.Tuner = &Tuner;
          CompileAll(O);
-       }}};
+       }},
+      {"journal", [&] { CompileAll(PipelineOptions()); }, true}};
   int Status = CheckPath.empty() ? writeLedger(Passes, Corpus, JsonPath)
                                  : check(Passes, CheckPath);
-  std::error_code Ec;
-  std::filesystem::remove_all(Disk.DiskDir, Ec);
+  std::filesystem::remove_all(Scratch, Ec);
   return Status;
 }

@@ -88,11 +88,11 @@ public:
   /// Solves one level; \returns nullopt when the warm path gave up and
   /// the caller must run the exact solver instead.
   std::optional<IlpResult> solveLevel(const IntVector &Objective) {
+    // A level counts as a solve only where it returns a result; one
+    // given up on is counted by the exact solver that re-solves it.
     LpMetrics &M = lpMetrics();
-    M.IlpSolves.inc();
     failpoint::hit("lp.ilp");
 
-    NodeCtx Root;
     IlpResult Result;
     unsigned Nodes = 0;
     unsigned Pruned = 0;
@@ -126,6 +126,7 @@ public:
       case SimplexTableau::Outcome::Infeasible:
         Result.Status = IlpResult::Infeasible;
         Result.NodesExplored = Nodes;
+        M.IlpSolves.inc();
         M.IlpFailures.inc();
         M.IlpNodes.add(Nodes);
         M.NodesPerSolve.observe(Nodes);
@@ -152,17 +153,19 @@ public:
     };
     std::vector<WorkItem> Work;
 
-    auto evaluate = [&](NodeCtx &Ctx, unsigned Depth) -> bool {
-      // \returns false when the warm path must be abandoned.
+    // Prunes the point of \p Ctx, takes it as the incumbent when
+    // integral, or else pushes both branches; a null \p Ctx is the root,
+    // whose tableau is the member and is copied only to branch.
+    auto evaluate = [&](NodeCtx *Ctx, unsigned Depth) {
       std::vector<Rational> Point;
-      Ctx.T.extractPoint(Point);
+      (Ctx ? Ctx->T : Tab).extractPoint(Point);
       Rational Value(Problem.Lp.ObjectiveConstant);
       for (unsigned V = 0, E = Problem.numVars(); V != E; ++V)
         if (!Objective.empty() && Objective[V] != 0)
           Value += Rational(Objective[V]) * Point[V];
       if (Incumbent && Value >= IncumbentValue) {
         ++Pruned;
-        return true; // Pruned.
+        return;
       }
       unsigned Fractional = Problem.numVars();
       for (unsigned V = 0, E = Problem.numVars(); V != E; ++V)
@@ -176,27 +179,28 @@ public:
           IncumbentValue = Value;
           ++IncumbentUpdates;
         }
-        return true;
+        return;
+      }
+      NodeCtx Root;
+      if (!Ctx) {
+        Root.T = Tab; // Branching copies; the member stays pristine.
+        Root.Le.assign(Problem.numVars(), BoundInfo());
+        Root.Ge.assign(Problem.numVars(), BoundInfo());
+        Ctx = &Root;
       }
       Int Floor = Point[Fractional].floor();
       // Up branch (popped second) gets a copy; the down branch (popped
       // first) reuses this node's tableau.
-      auto UpCtx = std::make_unique<NodeCtx>(Ctx);
+      auto UpCtx = std::make_unique<NodeCtx>(*Ctx);
       Work.push_back({std::move(UpCtx), Fractional, checkedAdd(Floor, 1),
                       false, Depth + 1});
-      auto DownCtx = std::make_unique<NodeCtx>(std::move(Ctx));
+      auto DownCtx = std::make_unique<NodeCtx>(std::move(*Ctx));
       Work.push_back({std::move(DownCtx), Fractional, Floor, true,
                       Depth + 1});
-      return true;
     };
 
-    if (!Exhausted) {
-      Root.T = Tab; // Branching copies; the member stays pristine.
-      Root.Le.assign(Problem.numVars(), BoundInfo());
-      Root.Ge.assign(Problem.numVars(), BoundInfo());
-      if (!evaluate(Root, 0))
-        return std::nullopt;
-    }
+    if (!Exhausted)
+      evaluate(nullptr, 0);
 
     while (!Work.empty() && !Exhausted) {
       WorkItem Item = std::move(Work.back());
@@ -239,19 +243,18 @@ public:
         // The dual simplex safety valve tripped without a real budget:
         // abandon the warm path for this level.
         M.IlpNodes.add(Nodes);
-        M.NodesPerSolve.observe(Nodes);
         return std::nullopt;
       }
       if (O == SimplexTableau::Outcome::Infeasible)
         continue;
-      if (!evaluate(Ctx, Item.Depth))
-        return std::nullopt;
+      evaluate(&Ctx, Item.Depth);
     }
 
     Result.NodesExplored = Nodes;
     Result.NodesPruned = Pruned;
     Result.IncumbentUpdates = IncumbentUpdates;
     Result.MaxDepth = MaxDepth;
+    M.IlpSolves.inc();
     M.IlpNodes.add(Nodes);
     M.NodesPerSolve.observe(Nodes);
     M.BnbPruned.add(Pruned);

@@ -153,7 +153,10 @@ struct ConfigResult {
   Status Outcome;
   /// Pipeline metrics delta attributed to this configuration (isl:
   /// reference scheduling + simulation; novec: influenced scheduling +
-  /// simulation; infl: vector finalization + simulation).
+  /// simulation; infl: vector finalization + simulation). It is the
+  /// difference of two snapshots of the process-wide registry, so while
+  /// other threads compile (a BatchCompiler with more than one worker)
+  /// it also counts their work.
   obs::MetricsSnapshot Metrics;
 };
 
@@ -202,7 +205,8 @@ struct OperatorReport {
 
   bool degraded() const { return !Degradations.empty(); }
   /// Whole-operator pipeline metrics delta (covers all configurations,
-  /// the tvm proxy and validation).
+  /// the tvm proxy and validation). Like ConfigResult::Metrics, it also
+  /// counts whatever other threads compiled meanwhile.
   obs::MetricsSnapshot Metrics;
 };
 
